@@ -446,43 +446,66 @@ func BenchmarkPoolRun(b *testing.B) {
 	}
 }
 
-// TestTelemetryMatchesReport cross-checks the telemetry counters against the
-// report the pool has always produced: both observe the same simulation, so
-// they must agree exactly.
+// TestTelemetryMatchesReport cross-checks the telemetry counters, the SLO
+// plane and the report over the golden scenarios: all three observe the same
+// simulation, so they must agree exactly, and every released DAG must be
+// accounted for exactly once.
 func TestTelemetryMatchesReport(t *testing.T) {
-	rec := telemetry.New(telemetry.Options{})
-	cfg := testConfig(scheduler.NewConcordia(), workloads.Redis, 23)
-	cfg.Telemetry = rec
-	rep := run(t, cfg, 2*sim.Second)
-
-	m := rec.Metrics
-	if got, want := m.Counter("dags_released").Value(), rep.DAGsReleased; got != want {
-		t.Errorf("dags_released counter %d, report %d", got, want)
-	}
-	if got, want := m.Counter("dags_completed").Value(), rep.DAGsCompleted; got != want {
-		t.Errorf("dags_completed counter %d, report %d", got, want)
-	}
-	if got, want := m.Counter("deadline_misses").Value(), rep.Misses; got != want {
-		t.Errorf("deadline_misses counter %d, report %d", got, want)
-	}
-	if got, want := m.Counter("rotations").Value(), rep.Rotations; got != want {
-		t.Errorf("rotations counter %d, report %d", got, want)
-	}
-	var cellDAGs, cellObs uint64
-	for _, c := range rep.PerCell {
-		cellDAGs += c.DAGs
-		cellObs += c.QueueDelayObs
-	}
-	if cellDAGs != rep.DAGsCompleted {
-		t.Errorf("per-cell DAG sum %d, report completed %d", cellDAGs, rep.DAGsCompleted)
-	}
-	if cellObs == 0 {
-		t.Error("no queueing delays observed")
-	}
-	if rec.Trace.Len() == 0 {
-		t.Fatal("trace recorded no events")
-	}
-	if m.Samples() == 0 {
-		t.Fatal("no metrics samples recorded")
+	for _, sc := range goldenScenarios(t) {
+		sc := sc
+		t.Run(sc.name, func(t *testing.T) {
+			g := runGolden(t, sc)
+			rep, m := g.rep, g.rec.Metrics
+			if got, want := m.Counter("dags_released").Value(), rep.DAGsReleased; got != want {
+				t.Errorf("dags_released counter %d, report %d", got, want)
+			}
+			if got, want := m.Counter("dags_completed").Value()+m.Counter("dags_dropped").Value(), rep.DAGsCompleted; got != want {
+				t.Errorf("dags_completed + dags_dropped counters %d, report completed %d", got, want)
+			}
+			if got, want := m.Counter("deadline_misses").Value(), rep.Misses; got != want {
+				t.Errorf("deadline_misses counter %d, report %d", got, want)
+			}
+			if got, want := m.Counter("rotations").Value(), rep.Rotations; got != want {
+				t.Errorf("rotations counter %d, report %d", got, want)
+			}
+			if inflight := uint64(len(g.pool.dags)); rep.DAGsReleased != rep.DAGsCompleted+inflight {
+				t.Errorf("released %d != completed %d + in flight %d", rep.DAGsReleased, rep.DAGsCompleted, inflight)
+			}
+			var cellDAGs, cellMisses, cellDropped, cellObs uint64
+			for _, c := range rep.PerCell {
+				cellDAGs += c.DAGs
+				cellMisses += c.Misses
+				cellDropped += c.Dropped
+				cellObs += c.QueueDelayObs
+			}
+			if cellDAGs != rep.DAGsCompleted || cellMisses != rep.Misses || cellDropped != rep.DAGsDropped {
+				t.Errorf("per-cell sums %d/%d/%d, report %d/%d/%d (dags/misses/dropped)",
+					cellDAGs, cellMisses, cellDropped, rep.DAGsCompleted, rep.Misses, rep.DAGsDropped)
+			}
+			if rep.Faults.AbandonedDAGs > rep.DAGsDropped {
+				t.Errorf("abandoned %d exceeds dropped %d", rep.Faults.AbandonedDAGs, rep.DAGsDropped)
+			}
+			total := float64(len(g.pool.cores)) * rep.Duration.Seconds()
+			if sum := rep.RANCoreSeconds + rep.BestEffortCoreSeconds; math.Abs(sum-total) > 1e-9*total {
+				t.Errorf("core time not conserved: %v + %v != %v", rep.RANCoreSeconds, rep.BestEffortCoreSeconds, total)
+			}
+			var attempts, misses uint64
+			for _, s := range g.slo.SliceSummaries() {
+				attempts += s.Attempts
+				misses += s.Misses
+			}
+			if attempts != rep.DAGsCompleted || misses != rep.Misses {
+				t.Errorf("SLO attempts/misses %d/%d, report %d/%d", attempts, misses, rep.DAGsCompleted, rep.Misses)
+			}
+			if cellObs == 0 {
+				t.Error("no queueing delays observed")
+			}
+			if g.rec.Trace.Len() == 0 {
+				t.Fatal("trace recorded no events")
+			}
+			if m.Samples() == 0 {
+				t.Fatal("no metrics samples recorded")
+			}
+		})
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"concordia/internal/faults"
 	"concordia/internal/ran"
 	"concordia/internal/rng"
 	"concordia/internal/sim"
@@ -82,14 +83,7 @@ type Report struct {
 // the end of the run; recovery counts accumulate at the recovery sites.
 type FaultStats struct {
 	// Injected faults, per class.
-	LaneFailures     uint64
-	StuckOffloads    uint64
-	Overruns         uint64
-	Bursts           uint64
-	Storms           uint64
-	FronthaulLate    uint64
-	FronthaulDropped uint64
-	DeviceResets     uint64
+	faults.Stats
 	// Recovery actions.
 	OffloadTimeouts uint64 // stuck-offload watchdog firings
 	OffloadRetries  uint64 // offload re-submissions after a timeout
@@ -99,10 +93,7 @@ type FaultStats struct {
 }
 
 // Injected sums all injected faults.
-func (f FaultStats) Injected() uint64 {
-	return f.LaneFailures + f.StuckOffloads + f.Overruns + f.Bursts +
-		f.Storms + f.FronthaulLate + f.FronthaulDropped + f.DeviceResets
-}
+func (f FaultStats) Injected() uint64 { return f.Total() }
 
 // Recoveries sums all recovery actions.
 func (f FaultStats) Recoveries() uint64 {
@@ -264,10 +255,6 @@ func (r *Report) observeTask(kind ran.TaskKind, runtime sim.Time) {
 		r.TaskRuntimes[kind] = res
 	}
 	res.Observe(float64(runtime))
-}
-
-func (r *Report) finish(duration sim.Time, cfg Config) {
-	r.Duration = duration
 }
 
 // Reliability returns the fraction of completed DAGs that met the deadline.

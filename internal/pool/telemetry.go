@@ -170,14 +170,8 @@ func (t *telemetryHooks) attach(p *Pool) {
 // event. Driven by a per-slot (or Options.SamplePeriod) sim ticker.
 func (p *Pool) onSample(now sim.Time) {
 	t := p.tel
-	busy := 0
-	for i := range p.cores {
-		if p.cores[i].state == coreBusyRAN {
-			busy++
-		}
-	}
 	t.gRANCores.Set(float64(p.ranCores))
-	t.gBusyCores.Set(float64(busy))
+	t.gBusyCores.Set(float64(p.busyCores()))
 	t.gReady.Set(float64(p.readyTotal()))
 	t.gInflight.Set(float64(len(p.dags)))
 	interf := p.interferenceBase()

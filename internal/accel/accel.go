@@ -99,7 +99,7 @@ type Accelerator struct {
 	devs []device
 	// shape caches the exported fields devs was built for, so submissions
 	// reconcile lazily after field mutation (struct-literal construction,
-	// Lanes raised after New).
+	// Lanes raised after NewFleet).
 	shape fleetShape
 }
 
@@ -149,26 +149,13 @@ type OffloadRecord struct {
 // matching the Table 4 regime (total UL slot ≈ 2.7× the non-offloaded CPU
 // time).
 func DefaultFPGA() *Accelerator {
-	return New(2, sim.FromUs(18), sim.FromUs(2))
+	return NewFleet(1, 1, 2, 0, sim.FromUs(18), sim.FromUs(2))
 }
 
-// New constructs a single-device accelerator (the legacy model).
-func New(lanes int, perCodeblock, submitCost sim.Time) *Accelerator {
-	if lanes <= 0 {
-		lanes = 1
-	}
-	a := &Accelerator{
-		Lanes:        lanes,
-		PerCodeblock: perCodeblock,
-		SubmitCost:   submitCost,
-	}
-	a.reconcileShape()
-	return a
-}
-
-// NewFleet constructs a multi-device accelerator: devices cards, each with
+// NewFleet constructs an accelerator: devices cards, each with
 // enginesPerDevice engines and vfsPerDevice VFs, each VF bounded to
-// queueDepth in-flight requests per queue group (0 = unbounded).
+// queueDepth in-flight requests per queue group (0 = unbounded). Shape
+// values below one mean one device, engine and VF.
 func NewFleet(devices, vfsPerDevice, enginesPerDevice, queueDepth int, perCodeblock, submitCost sim.Time) *Accelerator {
 	if devices < 1 {
 		devices = 1

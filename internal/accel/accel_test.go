@@ -25,7 +25,7 @@ func TestSubmitErrNotOffloadable(t *testing.T) {
 }
 
 func TestSubmitSingleLane(t *testing.T) {
-	a := New(1, sim.FromUs(10), sim.FromUs(1))
+	a := NewFleet(1, 1, 1, 0, sim.FromUs(10), sim.FromUs(1))
 	// Two back-to-back 2-codeblock decodes serialize on one lane.
 	d1, err := a.Submit(0, ran.TaskLDPCDecode, 2)
 	if err != nil {
@@ -41,7 +41,7 @@ func TestSubmitSingleLane(t *testing.T) {
 }
 
 func TestSubmitParallelLanes(t *testing.T) {
-	a := New(2, sim.FromUs(10), sim.FromUs(1))
+	a := NewFleet(1, 1, 2, 0, sim.FromUs(10), sim.FromUs(1))
 	d1, _ := a.Submit(0, ran.TaskLDPCDecode, 2)
 	d2, _ := a.Submit(0, ran.TaskLDPCDecode, 2)
 	if d1 != d2 || d1 != sim.FromUs(20) {
@@ -72,7 +72,7 @@ func TestEncodeCheaperThanDecode(t *testing.T) {
 // odd per-codeblock rate truncated before multiplying and lost up to
 // codeblocks/2 time units vs the documented half rate.
 func TestEncodeOddRateNoTruncation(t *testing.T) {
-	a := New(1, sim.Time(7), sim.Time(1))
+	a := NewFleet(1, 1, 1, 0, sim.Time(7), sim.Time(1))
 	got, err := a.Expected(ran.TaskLDPCEncode, 5)
 	if err != nil {
 		t.Fatal(err)
@@ -90,7 +90,7 @@ func TestEncodeOddRateNoTruncation(t *testing.T) {
 }
 
 func TestSubmitAfterIdle(t *testing.T) {
-	a := New(1, sim.FromUs(10), sim.FromUs(1))
+	a := NewFleet(1, 1, 1, 0, sim.FromUs(10), sim.FromUs(1))
 	// Request at t=100µs on an idle device starts immediately.
 	d, _ := a.Submit(sim.FromUs(100), ran.TaskLDPCDecode, 1)
 	if d != sim.FromUs(110) {
@@ -99,7 +99,7 @@ func TestSubmitAfterIdle(t *testing.T) {
 }
 
 func TestUtilization(t *testing.T) {
-	a := New(2, sim.FromUs(10), sim.FromUs(1))
+	a := NewFleet(1, 1, 2, 0, sim.FromUs(10), sim.FromUs(1))
 	a.Submit(0, ran.TaskLDPCDecode, 5) // 50µs busy
 	if u := a.Utilization(sim.FromUs(100)); u < 0.24 || u > 0.26 {
 		t.Fatalf("utilization %v want 0.25 (50µs of 200 lane-µs)", u)
@@ -148,8 +148,8 @@ func TestSubmitInvalidRateTypedError(t *testing.T) {
 	}
 }
 
-// A struct-literal accelerator with valid lanes but no New() call must work:
-// Submit sizes the lane table lazily.
+// A struct-literal accelerator with valid lanes but no NewFleet call must
+// work: Submit sizes the lane table lazily.
 func TestSubmitStructLiteralLazyLanes(t *testing.T) {
 	a := &Accelerator{Lanes: 2, PerCodeblock: sim.FromUs(10), SubmitCost: sim.FromUs(1)}
 	d1, err := a.Submit(0, ran.TaskLDPCDecode, 1)
@@ -183,7 +183,7 @@ func TestExpectedInvalidRate(t *testing.T) {
 // Lanes after construction kept scanning the stale shorter table while
 // Utilization divided by the new Lanes — silently under-using engines.
 func TestLanesRaisedAfterConstruction(t *testing.T) {
-	a := New(1, sim.FromUs(10), sim.FromUs(1))
+	a := NewFleet(1, 1, 1, 0, sim.FromUs(10), sim.FromUs(1))
 	d1, _ := a.Submit(0, ran.TaskLDPCDecode, 1)
 	if d1 != sim.FromUs(10) {
 		t.Fatalf("first completion %v want 10us", d1)

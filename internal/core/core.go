@@ -322,18 +322,10 @@ func NewSystem(cfg Config) (*System, error) {
 	}
 	var dev *accel.Accelerator
 	if cfg.UseAccel {
-		if cfg.AccelDevices > 1 || cfg.AccelVFs > 1 || cfg.AccelQueueDepth > 0 {
-			// Same per-engine calibration as DefaultFPGA, spread over a fleet
-			// of two-engine cards.
-			devices := cfg.AccelDevices
-			if devices < 1 {
-				devices = 1
-			}
-			dev = accel.NewFleet(devices, cfg.AccelVFs, 2, cfg.AccelQueueDepth,
-				sim.FromUs(18), sim.FromUs(2))
-		} else {
-			dev = accel.DefaultFPGA()
-		}
+		// DefaultFPGA's per-engine calibration, spread over a fleet of
+		// two-engine cards; the zero shape is the single default FPGA.
+		dev = accel.NewFleet(cfg.AccelDevices, cfg.AccelVFs, 2, cfg.AccelQueueDepth,
+			sim.FromUs(18), sim.FromUs(2))
 	}
 	var wl *workloads.Schedule
 	if cfg.Workload != workloads.None {

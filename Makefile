@@ -58,12 +58,14 @@ check: lint
 # poison-on-free, slab canaries), run their full suites, then drive the
 # sanitized pool through a slice of the determinism sweep — the chaos and
 # predcal experiments stress recycling hardest (fault retries, abandoned
-# DAGs, storm yields). Any use-after-recycle panics with the owning release
-# seq instead of corrupting results.
+# DAGs, storm yields), and accelsweep drives the batched offload path, where
+# followers leave the ready heap and take a run reference when submitted.
+# Any use-after-recycle panics with the owning release seq instead of
+# corrupting results. Keep the determinism regex identical to the CI job's.
 poolcheck:
 	$(GO) vet -tags poolcheck ./internal/pool ./internal/sim ./internal/ran
 	$(GO) test -tags poolcheck -timeout 20m ./internal/pool ./internal/sim ./internal/ran
-	$(GO) test -tags poolcheck -timeout 30m -run 'TestExperimentsWorkerDeterminism/(fig4a|fig4b|chaos|predcal)' .
+	$(GO) test -tags poolcheck -timeout 30m -run 'TestExperimentsWorkerDeterminism/(fig4a|fig4b|chaos|predcal|accelsweep)' .
 
 # One regeneration pass per paper table/figure, with timing and allocation
 # stats, distilled into BENCH_pool.json (schema in EXPERIMENTS.md) so the

@@ -61,6 +61,28 @@ func captureTelemetry(o experiments.Options, tracePath, metricsPath string) erro
 	return nil
 }
 
+// writeCSV writes an experiment result's raw data series to
+// <dir>/<name>.csv when the result has a CSV form.
+func writeCSV(dir, name string, res fmt.Stringer) error {
+	if _, ok := res.(experiments.Tabular); !ok {
+		return nil
+	}
+	path := filepath.Join(dir, name+".csv")
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	err = experiments.WriteCSV(res, f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "wrote %s\n", path)
+	return nil
+}
+
 func main() {
 	seed := flag.Uint64("seed", 42, "deterministic seed")
 	scale := flag.Float64("scale", 0.25, "duration scale (1.0 = full experiment quality)")
@@ -199,21 +221,10 @@ func main() {
 		}
 		fmt.Println(res.String())
 		if *csvDir != "" {
-			path := filepath.Join(*csvDir, "chaos.csv")
-			f, err := os.Create(path)
-			if err != nil {
+			if err := writeCSV(*csvDir, "chaos", res); err != nil {
 				fmt.Fprintln(os.Stderr, "error:", err)
 				os.Exit(1)
 			}
-			err = experiments.WriteCSV(res, f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "error:", err)
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s\n", path)
 		}
 		return
 	}
@@ -232,23 +243,15 @@ func main() {
 		names = experiments.Names
 	}
 	for _, name := range names {
-		if err := experiments.Run(name, o, os.Stdout); err != nil {
+		res, err := experiments.Run(name, o, os.Stdout)
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "error:", err)
 			os.Exit(1)
 		}
 		if *csvDir != "" {
-			path := filepath.Join(*csvDir, name+".csv")
-			f, err := os.Create(path)
-			if err != nil {
+			if err := writeCSV(*csvDir, name, res); err != nil {
 				fmt.Fprintln(os.Stderr, "error:", err)
 				os.Exit(1)
-			}
-			err = experiments.RunCSV(name, o, f)
-			f.Close()
-			if err != nil {
-				os.Remove(path) // experiment has no CSV form
-			} else {
-				fmt.Fprintf(os.Stderr, "wrote %s\n", path)
 			}
 		}
 	}

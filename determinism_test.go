@@ -35,10 +35,10 @@ func TestExperimentsWorkerDeterminism(t *testing.T) {
 			serial.Workers = 1
 			fanout.Workers = 8
 			var got1, got8 bytes.Buffer
-			if err := experiments.Run(name, serial, &got1); err != nil {
+			if _, err := experiments.Run(name, serial, &got1); err != nil {
 				t.Fatal(err)
 			}
-			if err := experiments.Run(name, fanout, &got8); err != nil {
+			if _, err := experiments.Run(name, fanout, &got8); err != nil {
 				t.Fatal(err)
 			}
 			if got1.Len() == 0 || got8.Len() == 0 {

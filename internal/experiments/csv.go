@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-
-	"concordia/internal/ran"
 )
 
 // Tabular is implemented by results that can export their data series for
@@ -17,8 +15,13 @@ type Tabular interface {
 	CSV() (header []string, rows [][]string)
 }
 
-// WriteCSV renders any Tabular result as CSV.
-func WriteCSV(t Tabular, w io.Writer) error {
+// WriteCSV renders an experiment result's raw series as CSV. A result that
+// does not implement Tabular has no CSV form.
+func WriteCSV(res fmt.Stringer, w io.Writer) error {
+	t, ok := res.(Tabular)
+	if !ok {
+		return fmt.Errorf("experiments: %T has no CSV form", res)
+	}
 	cw := csv.NewWriter(w)
 	header, rows := t.CSV()
 	if err := cw.Write(header); err != nil {
@@ -147,49 +150,4 @@ func (r *Fig6Result) CSV() ([]string, [][]string) {
 		}
 	}
 	return header, rows
-}
-
-// RunCSV executes a named experiment and writes its raw series as CSV when
-// the result supports it; otherwise it reports an error.
-func RunCSV(name string, o Options, w io.Writer) error {
-	var res any
-	var err error
-	switch name {
-	case "fig3":
-		res, err = RunFig3Traffic(o)
-	case "fig6":
-		res, err = RunFig6LDPCScaling(o)
-	case "fig8a":
-		res, err = RunFig8Reclaimed(o)
-	case "fig8b":
-		res, err = RunFig8Workloads(o)
-	case "fig11":
-		res, err = RunFig11TailLatency(o)
-	case "fig13":
-		res, err = RunFig13PWCET(o)
-	case "fig14":
-		res, err = RunFig14Models(o, ran.TaskLDPCDecode)
-	case "fig15a":
-		res, err = RunFig15Overhead(o)
-	case "fig15b":
-		res, err = RunFig15Deadline(o)
-	case "ablation":
-		res, err = RunAblation(o)
-	case "chaos":
-		res, err = RunChaos(o, "sweep")
-	case "predcal":
-		res, err = RunPredCal(o)
-	case "fleet":
-		res, err = RunFleet(o)
-	case "accelsweep":
-		res, err = RunAccelSweep(o)
-	case "slosweep":
-		res, err = RunSLOSweep(o)
-	default:
-		return fmt.Errorf("experiments: %q has no CSV form", name)
-	}
-	if err != nil {
-		return err
-	}
-	return WriteCSV(res.(Tabular), w)
 }

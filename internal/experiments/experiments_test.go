@@ -349,13 +349,13 @@ func TestTable4(t *testing.T) {
 
 func TestRunByName(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Run("fig6", quick(t), &buf); err != nil {
+	if _, err := Run("fig6", quick(t), &buf); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "LDPC") {
 		t.Error("missing output")
 	}
-	if err := Run("nope", Quick(), &buf); err == nil {
+	if _, err := Run("nope", Quick(), &buf); err == nil {
 		t.Error("unknown experiment accepted")
 	}
 }
@@ -446,8 +446,8 @@ func TestCSVExport(t *testing.T) {
 	if strings.Count(out, "\n") != 16 { // header + 15 rows
 		t.Fatalf("row count wrong:\n%s", out)
 	}
-	if err := RunCSV("nope", o, &buf); err == nil {
-		t.Fatal("unknown CSV experiment accepted")
+	if err := WriteCSV(&Fig7Result{}, &buf); err == nil {
+		t.Fatal("result without a CSV form accepted")
 	}
 }
 

@@ -9,81 +9,73 @@ import (
 	"concordia/internal/ran"
 )
 
-// Experiment names accepted by Run.
-var Names = []string{
-	"fig3", "pooling", "fig4a", "fig4b", "fig6", "fig7", "fig8a", "fig8b",
-	"fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15a", "fig15b",
-	"table3", "table4", "fig17", "ablation", "extension", "calibration",
-	"chaos", "predcal", "fleet", "accelsweep", "slosweep",
+// experiment is one registry entry: a name and the function that runs it.
+type experiment struct {
+	name string
+	run  func(Options) (fmt.Stringer, error)
 }
 
-// Run executes one named experiment and writes its rendered result.
-func Run(name string, o Options, w io.Writer) error {
-	var res fmt.Stringer
-	var err error
-	switch name {
-	case "fig3":
-		res, err = RunFig3Traffic(o)
-	case "pooling":
-		res, err = RunPoolingGaussian(o)
-	case "fig4a":
-		res, err = RunFig4Utilization(o)
-	case "fig4b":
-		res, err = RunFig4Violations(o)
-	case "fig6":
-		res, err = RunFig6LDPCScaling(o)
-	case "fig7":
-		res, err = RunFig7Leaves(o)
-	case "fig8a":
-		res, err = RunFig8Reclaimed(o)
-	case "fig8b":
-		res, err = RunFig8Workloads(o)
-	case "fig9":
-		res, err = RunFig9Cache(o)
-	case "fig10":
-		res, err = RunFig10SchedLatency(o)
-	case "fig11":
-		res, err = RunFig11TailLatency(o)
-	case "fig12":
-		res, err = RunFig12Cores(o)
-	case "fig13":
-		res, err = RunFig13PWCET(o)
-	case "fig14":
-		res, err = RunFig14Models(o, ran.TaskLDPCDecode)
-	case "fig15a":
-		res, err = RunFig15Overhead(o)
-	case "fig15b":
-		res, err = RunFig15Deadline(o)
-	case "table3":
-		res, err = RunTable3FPGA(o)
-	case "table4":
-		res, err = RunTable4Offload(o)
-	case "fig17":
-		res, err = RunFig17PerTask(o)
-	case "ablation":
-		res, err = RunAblation(o)
-	case "extension":
-		res, err = RunMACExtension(o)
-	case "calibration":
-		res, err = RunCalibration(o)
-	case "chaos":
-		res, err = RunChaos(o, "sweep")
-	case "predcal":
-		res, err = RunPredCal(o)
-	case "fleet":
-		res, err = RunFleet(o)
-	case "accelsweep":
-		res, err = RunAccelSweep(o)
-	case "slosweep":
-		res, err = RunSLOSweep(o)
-	default:
-		return fmt.Errorf("experiments: unknown experiment %q", name)
+// entry adapts a RunXxx function to the registry.
+func entry[R fmt.Stringer](name string, run func(Options) (R, error)) experiment {
+	return experiment{name, func(o Options) (fmt.Stringer, error) { return run(o) }}
+}
+
+// registry lists every experiment in canonical order.
+var registry = []experiment{
+	entry("fig3", RunFig3Traffic),
+	entry("pooling", RunPoolingGaussian),
+	entry("fig4a", RunFig4Utilization),
+	entry("fig4b", RunFig4Violations),
+	entry("fig6", RunFig6LDPCScaling),
+	entry("fig7", RunFig7Leaves),
+	entry("fig8a", RunFig8Reclaimed),
+	entry("fig8b", RunFig8Workloads),
+	entry("fig9", RunFig9Cache),
+	entry("fig10", RunFig10SchedLatency),
+	entry("fig11", RunFig11TailLatency),
+	entry("fig12", RunFig12Cores),
+	entry("fig13", RunFig13PWCET),
+	entry("fig14", func(o Options) (*Fig14Result, error) { return RunFig14Models(o, ran.TaskLDPCDecode) }),
+	entry("fig15a", RunFig15Overhead),
+	entry("fig15b", RunFig15Deadline),
+	entry("table3", RunTable3FPGA),
+	entry("table4", RunTable4Offload),
+	entry("fig17", RunFig17PerTask),
+	entry("ablation", RunAblation),
+	entry("extension", RunMACExtension),
+	entry("calibration", RunCalibration),
+	entry("chaos", func(o Options) (*ChaosResult, error) { return RunChaos(o, "sweep") }),
+	entry("predcal", RunPredCal),
+	entry("fleet", RunFleet),
+	entry("accelsweep", RunAccelSweep),
+	entry("slosweep", RunSLOSweep),
+}
+
+// Names lists the experiments Run accepts, in canonical order.
+var Names = func() []string {
+	names := make([]string, len(registry))
+	for i, e := range registry {
+		names[i] = e.name
 	}
-	if err != nil {
-		return fmt.Errorf("experiments: %s: %w", name, err)
+	return names
+}()
+
+// Run executes one named experiment, writes its rendered result to w, and
+// returns the result; WriteCSV exports its raw series when it has a CSV
+// form.
+func Run(name string, o Options, w io.Writer) (fmt.Stringer, error) {
+	for _, e := range registry {
+		if e.name != name {
+			continue
+		}
+		res, err := e.run(o)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: %s: %w", name, err)
+		}
+		_, err = fmt.Fprintln(w, res.String())
+		return res, err
 	}
-	_, err = fmt.Fprintln(w, res.String())
-	return err
+	return nil, fmt.Errorf("experiments: unknown experiment %q", name)
 }
 
 // RunAll executes every experiment, fanning them across o.Workers goroutines
@@ -95,7 +87,7 @@ func RunAll(o Options, w io.Writer) error {
 	bufs := make([]*bytes.Buffer, len(Names))
 	runErr := parallel.ForEach(o.workers(), len(Names), func(i int) error {
 		var buf bytes.Buffer
-		if err := Run(Names[i], o, &buf); err != nil {
+		if _, err := Run(Names[i], o, &buf); err != nil {
 			return err
 		}
 		bufs[i] = &buf

@@ -260,7 +260,12 @@ func BenchmarkRunAllQuick(b *testing.B) {
 // regeneration: both produce identical bytes, the second spreads experiments
 // and their internal sweeps across every core.
 func BenchmarkRunAllParallel(b *testing.B) {
-	for _, workers := range []int{1, runtime.NumCPU()} {
+	// On a 1-CPU host the second setting would rerun workers=1.
+	settings := []int{1}
+	if runtime.NumCPU() > 1 {
+		settings = append(settings, runtime.NumCPU())
+	}
+	for _, workers := range settings {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			o := benchOpts()
 			o.Workers = workers

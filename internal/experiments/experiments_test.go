@@ -293,6 +293,9 @@ func TestFig15a(t *testing.T) {
 	if r.SchedulerUs[last] > 2.0 {
 		t.Errorf("scheduler decision %.3f us exceeds the paper's 2 us envelope", r.SchedulerUs[last])
 	}
+	if r.PredictorUs[last] > 24.0 {
+		t.Errorf("per-TTI prediction %.3f us exceeds the paper's 24 us at %d cells", r.PredictorUs[last], r.Cells[last])
+	}
 	if r.PredictorUs[last] <= r.PredictorUs[0] {
 		t.Error("predictor overhead should grow with cells")
 	}

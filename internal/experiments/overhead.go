@@ -71,6 +71,13 @@ func RunFig15Overhead(o Options) (*Fig15aResult, error) {
 				feats = append(feats, f)
 			}
 		}
+		// Fill each timed leaf's ring with the tree's own training runtimes,
+		// so the timing reads full 5 K rings as the online phase does.
+		for _, f := range feats {
+			for _, s := range train[:predictor.DefaultRingSize] {
+				tree.Observe(f, s.Runtime)
+			}
+		}
 		start = time.Now() //lint:allow walltime Fig 15a measures this reproduction's own host-time overhead (predictor half)
 		const predReps = 5000
 		for i := 0; i < predReps; i++ {

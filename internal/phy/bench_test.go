@@ -72,7 +72,12 @@ func BenchmarkLDPCDecodeParallel(b *testing.B) {
 // BenchmarkTransceiverLoopback runs the full TX→AWGN→RX chain for a
 // multi-codeblock transport block, per worker setting.
 func BenchmarkTransceiverLoopback(b *testing.B) {
-	for _, workers := range []int{1, runtime.NumCPU()} {
+	// On a 1-CPU host the second setting would rerun workers=1.
+	settings := []int{1}
+	if runtime.NumCPU() > 1 {
+		settings = append(settings, runtime.NumCPU())
+	}
+	for _, workers := range settings {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			tx, err := NewTransceiver(TransceiverConfig{
 				TBBits:   60000, // 8 codeblocks

@@ -33,10 +33,13 @@ type Sample struct {
 // RingBuffer is the per-leaf store of Algorithm 2: the most recent runtime
 // observations, whose maximum is the leaf's WCET prediction. The paper's
 // implementation sizes these at 5000 entries.
+//
+// Push keeps the maximum current, so Max is O(1) and never writes: a frozen
+// predictor set can be read from many goroutines at once.
 type RingBuffer struct {
 	buf  []sim.Time
 	next int
-	full bool
+	max  sim.Time // largest stored value, floored at 0; written only by Push
 }
 
 // DefaultRingSize matches the paper's 5 K-entry leaf buffers.
@@ -50,27 +53,34 @@ func NewRingBuffer(capacity int) *RingBuffer {
 	return &RingBuffer{buf: make([]sim.Time, 0, capacity)}
 }
 
-// Push appends an observation, evicting the oldest once full.
+// Push appends an observation, evicting the oldest once full. It rescans the
+// ring only when it evicts the maximum for a smaller value.
 func (r *RingBuffer) Push(v sim.Time) {
 	if len(r.buf) < cap(r.buf) {
 		r.buf = append(r.buf, v)
+		if v > r.max {
+			r.max = v
+		}
 		return
 	}
-	r.full = true
+	old := r.buf[r.next]
 	r.buf[r.next] = v
 	r.next = (r.next + 1) % len(r.buf)
+	switch {
+	case v >= r.max:
+		r.max = v
+	case old == r.max:
+		r.max = 0
+		for _, x := range r.buf {
+			if x > r.max {
+				r.max = x
+			}
+		}
+	}
 }
 
 // Max returns the largest stored observation, or 0 when empty.
-func (r *RingBuffer) Max() sim.Time {
-	var m sim.Time
-	for _, v := range r.buf {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
+func (r *RingBuffer) Max() sim.Time { return r.max }
 
 // Len returns the number of stored observations.
 func (r *RingBuffer) Len() int { return len(r.buf) }

@@ -66,25 +66,65 @@ func TestRingBufferCapacityPanic(t *testing.T) {
 }
 
 func TestRingBufferMaxProperty(t *testing.T) {
-	// Max of the ring equals max of the last N pushed values.
-	err := quick.Check(func(raw []uint32) bool {
-		const n = 16
-		r := NewRingBuffer(n)
-		for _, v := range raw {
-			r.Push(sim.Time(v))
+	// After every Push, Max equals a scan of the stored values; at the end
+	// it equals the max of the last capacity pushes. Max is floored at 0, as
+	// an empty ring reads 0.
+	check := func(capacity int, in []sim.Time) bool {
+		r := NewRingBuffer(capacity)
+		if r.Max() != 0 {
+			return false
 		}
-		start := 0
-		if len(raw) > n {
-			start = len(raw) - n
+		for _, v := range in {
+			r.Push(v)
+			var want sim.Time
+			for _, x := range r.Values() {
+				if x > want {
+					want = x
+				}
+			}
+			if r.Max() != want {
+				return false
+			}
 		}
 		var want sim.Time
-		for _, v := range raw[start:] {
-			if sim.Time(v) > want {
-				want = sim.Time(v)
+		for _, v := range in[max(0, len(in)-capacity):] {
+			if v > want {
+				want = v
 			}
 		}
 		return r.Max() == want
-	}, &quick.Config{MaxCount: 100})
+	}
+
+	// Inputs that reach the rescan, where Push evicts the maximum.
+	descending := make([]sim.Time, 40)
+	for i := range descending {
+		descending[i] = sim.Time(len(descending) - i)
+	}
+	cases := []struct {
+		name     string
+		capacity int
+		in       []sim.Time
+	}{
+		{"empty", 4, nil},
+		{"partly filled", 16, []sim.Time{3, 9, 1}},
+		{"descending past capacity", 8, descending},
+		{"repeated equal maxima", 4, []sim.Time{9, 1, 9, 2, 3, 9, 1, 1, 1, 1, 9, 9, 9, 9, 2, 2, 2, 2}},
+		{"capacity 1", 1, []sim.Time{5, 3, 7, 7, 0, 2, 2, 1}},
+		{"negative values", 3, []sim.Time{-4, -1, 6, -2, -3, -5, 0, -1}},
+	}
+	for _, c := range cases {
+		if !check(c.capacity, c.in) {
+			t.Errorf("%s: Max diverged from a scan", c.name)
+		}
+	}
+
+	err := quick.Check(func(c uint8, raw []int8) bool {
+		in := make([]sim.Time, len(raw))
+		for i, v := range raw {
+			in[i] = sim.Time(v)
+		}
+		return check(1+int(c%16), in)
+	}, &quick.Config{MaxCount: 500})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,14 +469,21 @@ func TestSortSamplesHelper(t *testing.T) {
 	}
 }
 
+var predictSink sim.Time
+
 func BenchmarkTreePredict(b *testing.B) {
 	data := profileDecode(8000, 30, costmodel.Env{PoolCores: 4})
 	tree, _ := TrainQuantileTree(ran.TaskLDPCDecode,
 		[]ran.Feature{ran.FCodeblocks, ran.FSNRdB}, data, TreeConfig{})
 	f := data[0].Features
+	// Fill the leaf's ring, as the online phase does, so Predict reads a
+	// full 5 K ring rather than the leaf's offline samples alone.
+	for _, s := range data[:DefaultRingSize] {
+		tree.Observe(f, s.Runtime)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = tree.Predict(f)
+		predictSink = tree.Predict(f)
 	}
 }
 

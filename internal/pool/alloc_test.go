@@ -79,8 +79,9 @@ func TestEnqueueDispatchZeroAlloc(t *testing.T) {
 }
 
 // TestRunFreelistZeroAlloc pins the dagRun/DAG freelist contract: after the
-// first acquire grows the run table and task slab, the admit → retire →
-// recycle cycle allocates nothing and hands back the same recycled objects.
+// first acquire grows the run table, task slab and frontier, the admit →
+// retire → recycle cycle allocates nothing and hands back the same recycled
+// objects.
 func TestRunFreelistZeroAlloc(t *testing.T) {
 	p := &Pool{}
 	d := p.getDAG()
@@ -90,6 +91,9 @@ func TestRunFreelistZeroAlloc(t *testing.T) {
 	cycle := func() {
 		dag := p.getDAG()
 		run := p.acquireRun(dag)
+		for id := range dag.Tasks { // every task joins the frontier at some point
+			run.frontier = append(run.frontier, id)
+		}
 		if first == nil {
 			first = run
 		} else if run != first || dag != d {
@@ -99,7 +103,7 @@ func TestRunFreelistZeroAlloc(t *testing.T) {
 		p.maybeRecycle(run)
 	}
 	p.putDAG(d)
-	cycle() // grow runTable, freeRuns, freeDAGs and the task slab once
+	cycle() // grow runTable, freeRuns, freeDAGs, the task slab and the frontier once
 	if a := testing.AllocsPerRun(100, cycle); a != 0 {
 		t.Errorf("warmed run freelist cycle allocated %.1f per run, want 0", a)
 	}

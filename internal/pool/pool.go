@@ -223,6 +223,11 @@ type dagRun struct {
 	// remainingWork is the predicted work of not-yet-completed tasks,
 	// excluding progress on running ones (subtracted lazily at read time).
 	remainingWork sim.Time
+	// frontier holds the IDs of the tasks whose dependencies are met and
+	// that have not completed: ready, kept, running or awaiting an offload
+	// retry. schedulerState reads C_rem and L_rem from it alone (DESIGN.md
+	// §4); its capacity is reused across releases like the task slab.
+	frontier []int
 	// dropped marks a DAG abandoned at its deadline (DropLateDAGs).
 	dropped bool
 	// cpuTime and offloadTime split the DAG's execution between processor
@@ -668,6 +673,7 @@ func (p *Pool) acquireRun(d *ran.DAG) *dagRun {
 	run.retired = false
 	run.seq = 0
 	run.remainingWork = 0
+	run.frontier = run.frontier[:0]
 	run.dropped = false
 	run.cpuTime = 0
 	run.offloadTime = 0
@@ -707,7 +713,7 @@ func (p *Pool) buildDir(cell ran.CellConfig, slot int, release, deadline sim.Tim
 }
 
 // releaseDAG admits a DAG: predicts every task's WCET, computes tail
-// critical paths, and enqueues the roots.
+// critical paths, and puts the roots on the frontier and enqueues them.
 //
 // lint:pool-owner — this is the pool's admission path. It checks the run out
 // of the freelist and retains it (p.dags, task back-pointers) precisely
@@ -748,6 +754,7 @@ func (p *Pool) releaseDAG(d *ran.DAG) {
 		})
 	}
 	for _, id := range d.Roots() {
+		run.frontier = append(run.frontier, id)
 		p.enqueue(&run.tasks[id], now)
 	}
 }
@@ -1190,17 +1197,21 @@ func (p *Pool) onTaskDone(ci int) {
 	p.coreAfterTask(ci, p.completeTask(t, ci, now), now)
 }
 
-// completeTask records t's completion at now and, unless its DAG was
-// dropped (its data is gone), releases its successors and retires the DAG
-// after its last task. ci is the core that ran t, or -1 when the
-// accelerator did; a core keeps the first ready successor, which is
-// returned, for cache locality.
+// completeTask records t's completion at now, takes t off its DAG's
+// frontier and, unless the DAG was dropped (its data is gone), releases its
+// successors and retires the DAG after its last task. ci is the core that
+// ran t, or -1 when the accelerator did; a core keeps the first ready
+// successor, which is returned, for cache locality.
 func (p *Pool) completeTask(t *task, ci int, now sim.Time) (keep *task) {
 	t.running = false
 	t.done = true
 	run := t.dag
 	run.refs-- // the core or the completion event detaches
 	run.unfinished--
+	f := run.frontier
+	i := slices.Index(f, t.node.ID)
+	f[i] = f[len(f)-1]
+	run.frontier = f[:len(f)-1]
 	run.remainingWork -= t.predicted
 	if run.remainingWork < 0 {
 		run.remainingWork = 0
@@ -1236,8 +1247,9 @@ func (p *Pool) completeTask(t *task, ci int, now sim.Time) (keep *task) {
 	return keep
 }
 
-// releaseSuccessors queues every successor of t whose last dependency t
-// was. With keepOne the first of them is returned instead of queued.
+// releaseSuccessors moves every successor of t whose last dependency t
+// was onto the frontier and queues it. With keepOne the first of them is
+// returned instead of queued.
 func (p *Pool) releaseSuccessors(t *task, now sim.Time, keepOne bool) (keep *task) {
 	for _, s := range t.node.Succs {
 		st := &t.dag.tasks[s]
@@ -1245,6 +1257,7 @@ func (p *Pool) releaseSuccessors(t *task, now sim.Time, keepOne bool) (keep *tas
 		if st.missing != 0 {
 			continue
 		}
+		t.dag.frontier = append(t.dag.frontier, s)
 		if keepOne && keep == nil {
 			keep = st
 		} else {
@@ -1407,15 +1420,15 @@ func (p *Pool) schedulerState(now sim.Time) scheduler.PoolState {
 	}
 	// st.DAGs reuses the pool's scratch slice; policies must not retain it
 	// past the Cores call (none do — see scheduler package contract).
+	// Only frontier tasks can run, and every other unfinished task descends
+	// from one whose tail is at least its own, so the frontier gives the
+	// same work and critical path as a scan of every task (DESIGN.md §4).
 	st.DAGs = p.stDAGs[:0]
 	for _, run := range p.dags {
 		work := run.remainingWork
 		var cp sim.Time
-		for i := range run.tasks {
-			t := &run.tasks[i]
-			if t.done {
-				continue
-			}
+		for _, id := range run.frontier {
+			t := &run.tasks[id]
 			tail := t.tailCP
 			if t.running {
 				elapsed := now - t.started

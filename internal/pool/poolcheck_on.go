@@ -83,6 +83,9 @@ func (pc *poolPC) recycle(run *dagRun) {
 		t.tailCP = pcPoisonTime
 		t.heapIndex = pcPoisonIdx
 	}
+	for i := range run.frontier {
+		run.frontier[i] = pcPoisonIdx // a stale frontier read indexes out of range
+	}
 	ran.PoolcheckPoison(run.dag, run.seq)
 	pc.freed[run.id] = true
 	pc.freedSeq[run.id] = run.seq

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"concordia/internal/accel"
+	"concordia/internal/analysis"
 	"concordia/internal/costmodel"
 	"concordia/internal/platform"
 	"concordia/internal/ran"
@@ -447,9 +448,9 @@ func BenchmarkPoolRun(b *testing.B) {
 }
 
 // TestTelemetryMatchesReport cross-checks the telemetry counters, the SLO
-// plane and the report over the golden scenarios: all three observe the same
-// simulation, so they must agree exactly, and every released DAG must be
-// accounted for exactly once.
+// plane, the autopsy of the event trace and the report over the golden
+// scenarios: all four observe the same simulation, so they must agree
+// exactly, and every released DAG must be accounted for exactly once.
 func TestTelemetryMatchesReport(t *testing.T) {
 	for _, sc := range goldenScenarios(t) {
 		sc := sc
@@ -496,6 +497,10 @@ func TestTelemetryMatchesReport(t *testing.T) {
 			}
 			if attempts != rep.DAGsCompleted || misses != rep.Misses {
 				t.Errorf("SLO attempts/misses %d/%d, report %d/%d", attempts, misses, rep.DAGsCompleted, rep.Misses)
+			}
+			a := analysis.Analyze(g.rec.Trace.Events(), analysis.Options{PoolCores: len(g.pool.cores), Deadline: g.pool.cfg.Deadline})
+			if uint64(a.TotalMisses()) != rep.Misses || !a.PartitionHolds() {
+				t.Errorf("autopsy misses %d (partition holds: %v), report %d", a.TotalMisses(), a.PartitionHolds(), rep.Misses)
 			}
 			if cellObs == 0 {
 				t.Error("no queueing delays observed")

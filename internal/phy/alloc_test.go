@@ -10,7 +10,9 @@ import (
 // *Into/*Append stage must stop allocating once its destination capacity and
 // pooled scratch exist. These pin the contract so a refactor that quietly
 // reintroduces per-call garbage fails loudly instead of showing up as GC
-// pressure in the calibration experiment.
+// pressure in the calibration experiment. The decoders' contract holds
+// outside -race only: the race detector makes sync.Pool drop a random share
+// of Puts on purpose, so their pooled scratch is sometimes reallocated.
 
 func TestLDPCDecodeIntoZeroAlloc(t *testing.T) {
 	code, err := NewLDPCCode(256, 132, 7)
@@ -33,6 +35,9 @@ func TestLDPCDecodeIntoZeroAlloc(t *testing.T) {
 	var res DecodeResult
 	if err := code.DecodeInto(&res, llr); err != nil { // warm scratch + Info
 		t.Fatal(err)
+	}
+	if raceEnabled {
+		t.Skip("under -race sync.Pool drops a random share of Puts, so the pooled decoder scratch is reallocated")
 	}
 	if a := testing.AllocsPerRun(100, func() {
 		if err := code.DecodeInto(&res, llr); err != nil {
@@ -64,6 +69,9 @@ func TestPolarDecodeIntoZeroAlloc(t *testing.T) {
 	dst, err := code.Decode(llr) // warm scratch, size dst
 	if err != nil {
 		t.Fatal(err)
+	}
+	if raceEnabled {
+		t.Skip("under -race sync.Pool drops a random share of Puts, so the pooled decoder scratch is reallocated")
 	}
 	if a := testing.AllocsPerRun(100, func() {
 		var derr error

@@ -75,16 +75,13 @@ type (
 	FleetPlacementConfig = fleet.PlacementConfig
 	// SLOOptions enables the streaming SLO plane (DESIGN.md §5j): windowed
 	// mergeable quantile sketches, per-slice burn-rate alerts, and the fleet
-	// health report. Attach via Config.SLO (the zero value selects the
-	// URLLC/eMBB presets); export with System.WriteSLOCSV /
+	// health report over the URLLC and eMBB slices. Attach via Config.SLO
+	// (the zero value selects the defaults); export with System.WriteSLOCSV /
 	// System.WriteSLOReport or inspect with System.SLO.
 	SLOOptions = slo.Options
 	// SLOTracker is the live SLO aggregation state: window rows, the alert
 	// timeline, and per-slice/per-cell summaries.
 	SLOTracker = slo.Tracker
-	// SLOObjective is one slice's latency-quantile target and deadline-miss
-	// error budget.
-	SLOObjective = slo.Objective
 )
 
 // Scheduling policies.

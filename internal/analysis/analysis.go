@@ -34,32 +34,21 @@ type Options struct {
 	// Deadline is the slot-processing deadline. 0 infers the tightest upper
 	// bound visible in the trace: the minimum deadline-miss latency.
 	Deadline sim.Time
-	// TargetQuantile is the predictors' target coverage (0 = 0.99999, the
-	// paper's five-nines quantile).
-	TargetQuantile float64
-	// DriftWindow is the calibration monitor's window length in samples
-	// (0 = 512).
-	DriftWindow int
-	// MigrationWindow is how long after an EvCellMigrate a miss on the
-	// migrated cell is attributed to the migration itself (ramp-up on the
-	// destination server: cold predictors' pool state, scheduler re-learning
-	// the cell's demand). 0 = 10 ms. Only fleet-level traces carry migrate
-	// events, so the rule is inert on single-pool traces.
-	MigrationWindow sim.Time
 }
 
-func (o Options) withDefaults() Options {
-	if o.TargetQuantile == 0 {
-		o.TargetQuantile = 0.99999
-	}
-	if o.DriftWindow <= 0 {
-		o.DriftWindow = 512
-	}
-	if o.MigrationWindow <= 0 {
-		o.MigrationWindow = 10 * sim.Millisecond
-	}
-	return o
-}
+const (
+	// targetQuantile is the predictors' target coverage: the paper's
+	// five-nines quantile.
+	targetQuantile = 0.99999
+	// driftWindow is the calibration monitor's window length in samples.
+	driftWindow = 512
+	// migrationWindow is how long after an EvCellMigrate a miss on the
+	// migrated cell is attributed to the migration itself (ramp-up on the
+	// destination server: cold predictors' pool state, scheduler re-learning
+	// the cell's demand). Only fleet-level traces carry migrate events, so
+	// the rule is inert on single-pool traces.
+	migrationWindow = 10 * sim.Millisecond
+)
 
 // Cause is one miss-cause bucket. Every deadline miss maps to exactly one.
 type Cause int
@@ -70,7 +59,7 @@ type Cause int
 // timeline was lost to ring-buffer wraparound.
 const (
 	// CauseMigration: the cell migrated between fleet servers within
-	// Options.MigrationWindow before the miss — destination-server ramp-up
+	// migrationWindow (10 ms) before the miss — destination-server ramp-up
 	// disturbance, not a steady-state scheduling failure. This is a
 	// coordination-level rule: it is checked first and needs no task
 	// timeline, so it still fires on merged fleet traces that carry only
@@ -165,7 +154,6 @@ func (a *Autopsy) PartitionHolds() bool {
 // the calibration monitor over one trace's events (telemetry.Tracer.Events
 // order). It is a pure function of its inputs.
 func Analyze(events []telemetry.Event, opts Options) *Autopsy {
-	opts = opts.withDefaults()
 	if opts.PoolCores == 0 {
 		opts.PoolCores = inferPoolCores(events)
 	}
@@ -212,7 +200,7 @@ func Analyze(events []telemetry.Event, opts Options) *Autopsy {
 		a.Misses = append(a.Misses, m)
 	}
 
-	a.Calibration = CalibrateSamples(extractPredictSamples(events), opts.TargetQuantile, opts.DriftWindow)
+	a.Calibration = CalibrateSamples(extractPredictSamples(events), targetQuantile, driftWindow)
 	return a
 }
 

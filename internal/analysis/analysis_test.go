@@ -326,12 +326,11 @@ func TestAttributeMigrationOtherCellInert(t *testing.T) {
 }
 
 func TestAttributeMigrationOutsideWindowInert(t *testing.T) {
-	// Same cell, but the migration is further back than MigrationWindow.
+	// Same cell, but the migration is about 20 ms back, further than the
+	// 10 ms migration window.
 	events := append([]telemetry.Event{migrateEv(2, us(10))},
 		chainDAG(13, 20*sim.Millisecond, 20*sim.Millisecond)...)
-	a := Analyze(events, Options{
-		PoolCores: 2, Deadline: us(40), MigrationWindow: 5 * sim.Millisecond,
-	})
+	a := Analyze(events, Options{PoolCores: 2, Deadline: us(40)})
 	if !a.PartitionHolds() || len(a.Misses) != 1 {
 		t.Fatalf("partition %v misses %d", a.CauseCounts, len(a.Misses))
 	}

@@ -104,14 +104,14 @@ func (ctx *attributionContext) attribute(tl *Timeline, m Miss) (Cause, string) {
 	// just changed servers is ramp-up disturbance, not a steady-state
 	// scheduling failure.
 	if len(ctx.migrations) > 0 {
-		from := m.At - ctx.opts.MigrationWindow
+		from := m.At - migrationWindow
 		if from < 0 {
 			from = 0
 		}
 		if ctx.migratedIn(m.Cell, from, m.At) {
 			return CauseMigration, fmt.Sprintf(
 				"cell %d migrated between servers within %.1fms of the miss",
-				m.Cell, ctx.opts.MigrationWindow.Ms())
+				m.Cell, migrationWindow.Ms())
 		}
 	}
 

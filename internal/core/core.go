@@ -42,20 +42,15 @@ const (
 
 // Config describes one Concordia deployment scenario.
 type Config struct {
-	Cells     []ran.CellConfig
-	PoolCores int
-	Scheduler SchedulerKind
-	// ShenangoThreshold is the queueing-delay threshold for the Shenango
-	// baseline (default 25 µs).
-	ShenangoThreshold sim.Time
-	// UtilizationThreshold for the utilization baseline (default 0.6).
-	UtilizationThreshold float64
-	Workload             workloads.Kind
-	Load                 float64
-	Deadline             sim.Time
-	PeakULBytes          int
-	PeakDLBytes          int
-	Seed                 uint64
+	Cells       []ran.CellConfig
+	PoolCores   int
+	Scheduler   SchedulerKind
+	Workload    workloads.Kind
+	Load        float64
+	Deadline    sim.Time
+	PeakULBytes int
+	PeakDLBytes int
+	Seed        uint64
 	// UseAccel offloads LDPC processing to the modeled FPGA (§7).
 	UseAccel bool
 	// AccelDevices > 1 replaces the single default FPGA with a fleet of
@@ -87,8 +82,6 @@ type Config struct {
 	// fully serial. The trained system is bit-for-bit identical for every
 	// setting — each task kind trains from its own sample set.
 	Workers int
-	// PredictorMargin scales tree predictions (1.0 = Algorithm 2 exactly).
-	PredictorMargin float64
 	// Predictor overrides the trained quantile trees when non-nil
 	// (experiments inject linear/boosting/EVT baselines through this).
 	Predictor pool.Predictors
@@ -139,6 +132,16 @@ func (f frozenPredictors) Predict(kind ran.TaskKind, fv ran.FeatureVector) sim.T
 
 func (f frozenPredictors) Observe(ran.TaskKind, ran.FeatureVector, sim.Time) {}
 
+// The baselines' thresholds (§6.3) and the margin on tree predictions.
+const (
+	// shenangoThreshold is the Shenango baseline's queueing-delay threshold.
+	shenangoThreshold = 25 * sim.Microsecond
+	// utilizationThreshold is the utilization baseline's threshold.
+	utilizationThreshold = 0.6
+	// predictorMargin scales tree predictions: 1.0 is Algorithm 2 exactly.
+	predictorMargin = 1.0
+)
+
 // DefaultTrainingSlots is the offline profiling length when unspecified:
 // enough TTIs that every task kind collects thousands of samples (the paper
 // gathers 500 K samples offline).
@@ -180,17 +183,8 @@ func (c *Config) fillDefaults() {
 	if c.Scheduler == "" {
 		c.Scheduler = SchedConcordia
 	}
-	if c.ShenangoThreshold == 0 {
-		c.ShenangoThreshold = 25 * sim.Microsecond
-	}
-	if c.UtilizationThreshold == 0 {
-		c.UtilizationThreshold = 0.6
-	}
 	if c.TrainingSlots == 0 {
 		c.TrainingSlots = DefaultTrainingSlots
-	}
-	if c.PredictorMargin == 0 {
-		c.PredictorMargin = 1.0
 	}
 }
 
@@ -203,9 +197,9 @@ func (c *Config) buildScheduler() (scheduler.Scheduler, error) {
 	case SchedFlexRAN:
 		return scheduler.FlexRAN{}, nil
 	case SchedShenango:
-		return scheduler.NewShenango(c.ShenangoThreshold), nil
+		return scheduler.NewShenango(shenangoThreshold), nil
 	case SchedUtilization:
-		return scheduler.NewUtilization(c.UtilizationThreshold), nil
+		return scheduler.NewUtilization(utilizationThreshold), nil
 	default:
 		return nil, fmt.Errorf("core: unknown scheduler %q", c.Scheduler)
 	}
@@ -314,7 +308,7 @@ func NewSystem(cfg Config) (*System, error) {
 		preds = cfg.Predictor
 	} else {
 		data := Profile(cfg.Cells, cfg.TrainingSlots, model, cfg.PoolCores, cfg.Seed^0x0ff1)
-		set, err = TrainPredictorsWorkers(data, cfg.PredictorMargin, cfg.Workers)
+		set, err = TrainPredictorsWorkers(data, predictorMargin, cfg.Workers)
 		if err != nil {
 			return nil, err
 		}
@@ -395,7 +389,6 @@ func NewSystem(cfg Config) (*System, error) {
 		Seed:              cfg.Seed,
 		ULSource:          ulSrc,
 		DLSource:          dlSrc,
-		RotatePeriod:      sim.FromMs(2),
 		ReleaseHysteresis: hysteresis,
 		Accel:             dev,
 		OffloadBatch:      cfg.OffloadBatch,

@@ -99,20 +99,19 @@ func goldenScenarios(t *testing.T) []goldenScenario {
 		{"tdd100-mac-fpga", func() Config {
 			model := costmodel.New(68)
 			return Config{
-				Cells:        ran.Cells100MHz(2),
-				PoolCores:    8,
-				Scheduler:    scheduler.NewConcordia(),
-				Predict:      OraclePredictors{Model: model, Env: costmodel.Env{PoolCores: 4}, Margin: 1.6},
-				CostModel:    model,
-				Platform:     platform.New(69),
-				Deadline:     sim.FromMs(1.5),
-				Load:         0.5,
-				PeakULBytes:  10000,
-				PeakDLBytes:  94000,
-				Seed:         68,
-				RotatePeriod: sim.FromMs(2),
-				Accel:        accel.DefaultFPGA(),
-				IncludeMAC:   true,
+				Cells:       ran.Cells100MHz(2),
+				PoolCores:   8,
+				Scheduler:   scheduler.NewConcordia(),
+				Predict:     OraclePredictors{Model: model, Env: costmodel.Env{PoolCores: 4}, Margin: 1.6},
+				CostModel:   model,
+				Platform:    platform.New(69),
+				Deadline:    sim.FromMs(1.5),
+				Load:        0.5,
+				PeakULBytes: 10000,
+				PeakDLBytes: 94000,
+				Seed:        68,
+				Accel:       accel.DefaultFPGA(),
+				IncludeMAC:  true,
 			}
 		}, "60a7548d93a91ea9cd8ee46de823ae9095a71d386456d525293dde4e528c16f0"},
 	}

@@ -91,9 +91,6 @@ type Config struct {
 	// cover the configured cell count.
 	ULSource traffic.Source
 	DLSource traffic.Source
-	// RotatePeriod is the core-rotation interval (2 ms in the paper);
-	// 0 disables rotation.
-	RotatePeriod sim.Time
 	// ReleaseHysteresis keeps an idle RAN core reserved for this long before
 	// yielding it. Concordia's proactive reservation uses a couple of slot
 	// durations here — bridging inter-TTI gaps is what gives it an order of
@@ -502,19 +499,13 @@ func (p *Pool) Run(duration sim.Time) *Report {
 	slotDur := p.cfg.Cells[0].Numerology.SlotDuration()
 	sim.NewTicker(p.eng, 0, slotDur, p.onSlot)
 	sim.NewTicker(p.eng, 0, p.cfg.Scheduler.Interval(), p.onSchedulerTick)
-	if p.cfg.RotatePeriod > 0 {
-		// Phase-shift rotation off the slot grid so it observes the pool
-		// mid-slot rather than at the idle instant between TTIs.
-		sim.NewTicker(p.eng, p.cfg.RotatePeriod+p.cfg.RotatePeriod/7, p.cfg.RotatePeriod, p.onRotate)
-	}
+	// Phase-shift rotation off the slot grid so it observes the pool
+	// mid-slot rather than at the idle instant between TTIs.
+	sim.NewTicker(p.eng, rotatePeriod+rotatePeriod/7, rotatePeriod, p.onRotate)
 	if p.tel != nil {
-		// Metrics sampling: registered after the slot ticker so a sample at
-		// instant t observes the slot released at t.
-		period := p.tel.rec.SamplePeriod
-		if period <= 0 {
-			period = slotDur
-		}
-		sim.NewTicker(p.eng, 0, period, p.onSample)
+		// Metrics sampling, once per slot: registered after the slot ticker
+		// so a sample at instant t observes the slot released at t.
+		sim.NewTicker(p.eng, 0, slotDur, p.onSample)
 	}
 	if p.flt != nil && p.cfg.Accel != nil && p.flt.Config().DeviceResetPerSec > 0 {
 		// Reconciliation loop: poll the per-device reset windows and
@@ -1677,6 +1668,9 @@ func (p *Pool) yieldCore(ci int, now sim.Time) {
 		})
 	}
 }
+
+// rotatePeriod is the core-rotation interval (2 ms in the paper).
+const rotatePeriod = 2 * sim.Millisecond
 
 // onRotate swaps one owned core for an unowned one (the 2 ms rotation that
 // lets unmigratable kernel work run on every core eventually). An idle RAN

@@ -24,19 +24,18 @@ func testConfig(sched scheduler.Scheduler, wl workloads.Kind, seed uint64) Confi
 		schedWl = workloads.NewSchedule(wl, 10*sim.Second, seed)
 	}
 	return Config{
-		Cells:        ran.Cells20MHz(2),
-		PoolCores:    6,
-		Scheduler:    sched,
-		Predict:      OraclePredictors{Model: model, Env: costmodel.Env{PoolCores: 4}, Margin: 1.6},
-		CostModel:    model,
-		Platform:     platform.New(seed + 1),
-		Workload:     schedWl,
-		Deadline:     sim.FromMs(2),
-		Load:         0.3,
-		PeakULBytes:  20000,
-		PeakDLBytes:  47000,
-		Seed:         seed,
-		RotatePeriod: sim.FromMs(2),
+		Cells:       ran.Cells20MHz(2),
+		PoolCores:   6,
+		Scheduler:   sched,
+		Predict:     OraclePredictors{Model: model, Env: costmodel.Env{PoolCores: 4}, Margin: 1.6},
+		CostModel:   model,
+		Platform:    platform.New(seed + 1),
+		Workload:    schedWl,
+		Deadline:    sim.FromMs(2),
+		Load:        0.3,
+		PeakULBytes: 20000,
+		PeakDLBytes: 47000,
+		Seed:        seed,
 	}
 }
 
@@ -195,15 +194,6 @@ func TestRotationOccurs(t *testing.T) {
 	r := run(t, testConfig(scheduler.NewConcordia(), workloads.Redis, 10), 2*sim.Second)
 	if r.Rotations == 0 {
 		t.Fatal("core rotation never happened")
-	}
-}
-
-func TestNoRotationWhenDisabled(t *testing.T) {
-	cfg := testConfig(scheduler.NewConcordia(), workloads.Redis, 11)
-	cfg.RotatePeriod = 0
-	r := run(t, cfg, sim.Second)
-	if r.Rotations != 0 {
-		t.Fatal("rotation occurred despite being disabled")
 	}
 }
 

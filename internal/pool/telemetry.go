@@ -167,7 +167,7 @@ func (t *telemetryHooks) attach(p *Pool) {
 }
 
 // onSample records one metrics time-series row and the interference counter
-// event. Driven by a per-slot (or Options.SamplePeriod) sim ticker.
+// event. Driven by a per-slot sim ticker.
 func (p *Pool) onSample(now sim.Time) {
 	t := p.tel
 	t.gRANCores.Set(float64(p.ranCores))

@@ -46,14 +46,13 @@ type treeNode struct {
 	stddevT float64
 }
 
-// TreeConfig bounds offline tree growth.
+// TreeConfig bounds offline tree growth. Every leaf ring holds
+// DefaultRingSize runtimes, seeded with the leaf's offline samples.
 type TreeConfig struct {
-	MaxDepth    int // default 10
-	MinLeaf     int // default 30 samples per leaf
-	MaxLeaves   int // default 128
-	RingSize    int // default DefaultRingSize
-	Margin      float64
-	SeedOffline bool // pre-populate leaf rings with offline samples (default true behaviour is on)
+	MaxDepth  int // default 10
+	MinLeaf   int // default 30 samples per leaf
+	MaxLeaves int // default 128
+	Margin    float64
 }
 
 func (c *TreeConfig) defaults() {
@@ -65,9 +64,6 @@ func (c *TreeConfig) defaults() {
 	}
 	if c.MaxLeaves <= 0 {
 		c.MaxLeaves = 128
-	}
-	if c.RingSize <= 0 {
-		c.RingSize = DefaultRingSize
 	}
 	if c.Margin <= 0 {
 		c.Margin = 1.0
@@ -154,7 +150,7 @@ func (t *QuantileTree) growBestFirst(data []Sample, rootIdx []int, feats []ran.F
 	}
 	// Everything left on the frontier becomes a leaf.
 	for _, c := range frontier {
-		t.fillLeaf(c.node, data, c.idx, cfg)
+		t.fillLeaf(c.node, data, c.idx)
 	}
 }
 
@@ -240,10 +236,10 @@ func bestSplit(vals, runtime []float64, minLeaf int) (gain, threshold float64, o
 	return best, bestT, true
 }
 
-func (t *QuantileTree) fillLeaf(n *treeNode, data []Sample, idx []int, cfg TreeConfig) {
+func (t *QuantileTree) fillLeaf(n *treeNode, data []Sample, idx []int) {
 	n.leaf = true
 	n.leafID = len(t.leaves)
-	n.ring = NewRingBuffer(cfg.RingSize)
+	n.ring = NewRingBuffer(DefaultRingSize)
 	var runtimes []float64
 	for _, j := range idx {
 		n.ring.Push(data[j].Runtime)

@@ -75,31 +75,32 @@ type Scheduler interface {
 //
 // and escalates to every pool core (evicting all best-effort work) when a
 // DAG enters its critical stage — when the slack beyond the critical path
-// falls below CriticalFactor × L_i. Allocations are re-evaluated every
-// 20 µs, which is also how mispredictions and slow core wakeups are
-// absorbed (§6.4: per-task accuracy is below five nines, full-DAG
-// reliability is not).
+// falls below κ × L_i. Allocations are re-evaluated every 20 µs, which is
+// also how mispredictions and slow core wakeups are absorbed (§6.4:
+// per-task accuracy is below five nines, full-DAG reliability is not).
 type Concordia struct {
-	// CriticalFactor κ controls critical-stage entry; the DAG is critical
-	// when (D − now) ≤ (1 + κ)·L.
-	CriticalFactor float64
-	// Period is the re-evaluation interval (20 µs in the paper).
-	Period sim.Time
 	// DisableWakeupCompensation turns off the stuck-core replacement
 	// mechanism (ablation studies only).
 	DisableWakeupCompensation bool
 }
 
+// The paper's parameters for Concordia.
+const (
+	// criticalFactor κ controls critical-stage entry; a DAG is critical
+	// when (D − now) ≤ (1 + κ)·L.
+	criticalFactor = 0.5
+	// concordiaPeriod is the re-evaluation interval.
+	concordiaPeriod = 20 * sim.Microsecond
+)
+
 // NewConcordia returns the scheduler with the paper's parameters.
-func NewConcordia() *Concordia {
-	return &Concordia{CriticalFactor: 0.5, Period: 20 * sim.Microsecond}
-}
+func NewConcordia() *Concordia { return &Concordia{} }
 
 // Name implements Scheduler.
 func (c *Concordia) Name() string { return "concordia" }
 
 // Interval implements Scheduler.
-func (c *Concordia) Interval() sim.Time { return c.Period }
+func (c *Concordia) Interval() sim.Time { return concordiaPeriod }
 
 // CompensatesWakeups implements Scheduler: the fine-grained re-evaluation
 // replaces cores that fail to wake in time (§3, §6.2).
@@ -165,7 +166,7 @@ func (c *Concordia) Cores(s PoolState) int {
 // dagCritical reports whether one DAG is inside its critical stage: the
 // remaining slack no longer exceeds (1+κ) times the predicted critical path.
 func (c *Concordia) dagCritical(d DAGState, now sim.Time) bool {
-	return d.Deadline-now <= sim.Time(float64(d.RemainingCriticalPath)*(1+c.CriticalFactor))
+	return d.Deadline-now <= sim.Time(float64(d.RemainingCriticalPath)*(1+criticalFactor))
 }
 
 // Critical reports whether any in-flight DAG is in its critical stage — the

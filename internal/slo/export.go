@@ -43,7 +43,7 @@ type AlertRow struct {
 }
 
 // appendRow lands a row in the bounded ring: the oldest row is overwritten
-// once RowCapacity is exceeded (and counted), so long fleet runs cannot
+// once rowCapacity is exceeded (and counted), so long fleet runs cannot
 // grow the table without bound.
 func (t *Tracker) appendRow(r WindowRow) {
 	if len(t.rows) < cap(t.rows) {
@@ -59,7 +59,7 @@ func (t *Tracker) appendRow(r WindowRow) {
 	t.rowsEvicted++
 }
 
-// appendAlert lands an alert on the timeline; past AlertCapacity new
+// appendAlert lands an alert on the timeline; past alertCapacity new
 // transitions are dropped (and counted) — the head of the timeline is the
 // interesting part for lead-time analysis.
 func (t *Tracker) appendAlert(a AlertRow) {
@@ -137,14 +137,14 @@ func (t *Tracker) AlertsFired() int {
 
 // SliceSummary is one slice's run-level SLO accounting.
 type SliceSummary struct {
-	Slice       int32
-	Name        string
-	Quantile    float64
-	TargetUs    float64
-	MissBudget  float64
-	Attempts    uint64
-	Misses      uint64
-	MissRate    float64
+	Slice      int32
+	Name       string
+	Quantile   float64
+	TargetUs   float64
+	MissBudget float64
+	Attempts   uint64
+	Misses     uint64
+	MissRate   float64
 	// BudgetRemaining is 1 - MissRate/MissBudget: the unconsumed fraction
 	// of the error budget (negative when overdrawn).
 	BudgetRemaining float64
@@ -164,18 +164,18 @@ func (t *Tracker) SliceSummaries() []SliceSummary {
 	out := make([]SliceSummary, 0, len(t.slices))
 	for si, ss := range t.slices {
 		s := SliceSummary{
-			Slice: int32(si), Name: ss.obj.Name,
-			Quantile: ss.obj.Quantile, TargetUs: ss.obj.LatencyTarget.Us(),
-			MissBudget: ss.obj.MissBudget,
+			Slice: int32(si), Name: ss.obj.name,
+			Quantile: ss.obj.quantile, TargetUs: t.opts.Deadline.Us(),
+			MissBudget: ss.obj.missBudget,
 			Attempts:   ss.totAttempts, Misses: ss.totMisses,
 			AlertsFired: ss.alertsFired, Violations: ss.violations,
 			Windows: ss.windows, Firing: ss.firing,
 		}
 		if ss.totAttempts > 0 {
 			s.MissRate = float64(ss.totMisses) / float64(ss.totAttempts)
-			s.QLatencyUs = ss.totLat.Quantile(ss.obj.Quantile) / 1e3
+			s.QLatencyUs = ss.totLat.Quantile(ss.obj.quantile) / 1e3
 		}
-		s.BudgetRemaining = 1 - s.MissRate/ss.obj.MissBudget
+		s.BudgetRemaining = 1 - s.MissRate/ss.obj.missBudget
 		out = append(out, s)
 	}
 	return out
@@ -234,26 +234,12 @@ func fmtG(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 func (t *Tracker) WriteCSV(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintln(bw, sloCSVHeader)
-	emit := func(r WindowRow) {
+	for _, r := range t.Rows() {
 		fmt.Fprintf(bw, "%s,%s,%d,%d,%d,%d,%d,%d,%s,%s,%s,%s,%s,%s,%d\n",
 			fmtG(r.Start.Us()), fmtG(r.End.Us()), r.Window, r.Cell, r.Server,
 			r.Slice, r.Attempts, r.Misses,
 			fmtG(r.P50Us), fmtG(r.P99Us), fmtG(r.P999Us), fmtG(r.SlackP1Us),
 			fmtG(r.FastBurn), fmtG(r.SlowBurn), boolTo01(r.Firing))
-	}
-	if t != nil {
-		if !t.rowFull {
-			for _, r := range t.rows {
-				emit(r)
-			}
-		} else {
-			for _, r := range t.rows[t.rowNext:] {
-				emit(r)
-			}
-			for _, r := range t.rows[:t.rowNext] {
-				emit(r)
-			}
-		}
 	}
 	return bw.Flush()
 }
@@ -270,8 +256,7 @@ func (t *Tracker) WriteHealthReport(w io.Writer) error {
 		return bw.Flush()
 	}
 	fmt.Fprintf(bw, "window %s · burn threshold %s (fast %d / slow %d windows)\n",
-		fmtDur(t.opts.Window), fmtG(t.opts.BurnThreshold),
-		t.opts.FastWindows, t.opts.SlowWindows)
+		fmtDur(t.opts.Window), fmtG(t.opts.BurnThreshold), fastWindows, slowWindows)
 	fmt.Fprintln(bw)
 
 	fmt.Fprintln(bw, "## Slices")
@@ -314,7 +299,7 @@ func (t *Tracker) WriteHealthReport(w io.Writer) error {
 	}
 	fmt.Fprintln(bw, "## Miss attribution (online heuristic)")
 	fmt.Fprintln(bw)
-	fmt.Fprintf(bw, "Misses within %s of a fault injection on the same cell are credited to that fault class; the autopsy's post-hoc partition is the ground truth.\n", fmtDur(t.opts.FaultHorizon))
+	fmt.Fprintf(bw, "Misses within %s of a fault injection on the same cell are credited to that fault class; the autopsy's post-hoc partition is the ground truth.\n", fmtDur(faultHorizon))
 	fmt.Fprintln(bw)
 	fmt.Fprintln(bw, "| fault_class | misses |")
 	fmt.Fprintln(bw, "|---|---|")
@@ -363,12 +348,9 @@ func fmtDur(d sim.Time) string { return fmtG(d.Us()) + "us" }
 // sketches make the fold associative, the serial order makes it
 // byte-identical at any worker count. cells maps the source tracker's
 // local cell indices to global IDs; nil keeps cell IDs as-is.
-func (t *Tracker) MergeRemapped(src *Tracker, cells []int32, server int32, offset sim.Time) error {
+func (t *Tracker) MergeRemapped(src *Tracker, cells []int32, server int32, offset sim.Time) {
 	if t == nil || src == nil {
-		return nil
-	}
-	if len(src.slices) != len(t.slices) {
-		return fmt.Errorf("slo: merging trackers with %d vs %d slices", len(src.slices), len(t.slices))
+		return
 	}
 	mapCell := func(c int32) int32 {
 		if cells != nil && c >= 0 && int(c) < len(cells) {
@@ -377,32 +359,10 @@ func (t *Tracker) MergeRemapped(src *Tracker, cells []int32, server int32, offse
 		return c
 	}
 	for _, sk := range src.keys {
-		k := Key{Cell: mapCell(sk.key.Cell), Server: server, Slice: sk.key.Slice}
-		dk, ok := t.index[k]
-		if !ok {
-			dk = &keyState{
-				key:      k,
-				lat:      NewSketch(t.opts.Sketch),
-				slack:    NewSketch(t.opts.Sketch),
-				totLat:   NewSketch(t.opts.Sketch),
-				totSlack: NewSketch(t.opts.Sketch),
-				totTask:  NewSketch(t.opts.Sketch),
-			}
-			t.index[k] = dk
-			i := sort.Search(len(t.keys), func(i int) bool { return !keyLess(t.keys[i].key, k) })
-			t.keys = append(t.keys, nil)
-			copy(t.keys[i+1:], t.keys[i:])
-			t.keys[i] = dk
-		}
-		if err := dk.totLat.Merge(sk.totLat); err != nil {
-			return err
-		}
-		if err := dk.totSlack.Merge(sk.totSlack); err != nil {
-			return err
-		}
-		if err := dk.totTask.Merge(sk.totTask); err != nil {
-			return err
-		}
+		dk := t.key(Key{Cell: mapCell(sk.key.Cell), Server: server, Slice: sk.key.Slice})
+		dk.totLat.Merge(sk.totLat)
+		dk.totSlack.Merge(sk.totSlack)
+		dk.totTask.Merge(sk.totTask)
 		dk.totAttempts += sk.totAttempts
 		dk.totMisses += sk.totMisses
 		dk.totTasks += sk.totTasks
@@ -412,9 +372,7 @@ func (t *Tracker) MergeRemapped(src *Tracker, cells []int32, server int32, offse
 	}
 	for si, ss := range src.slices {
 		ds := t.slices[si]
-		if err := ds.totLat.Merge(ss.totLat); err != nil {
-			return err
-		}
+		ds.totLat.Merge(ss.totLat)
 		ds.totAttempts += ss.totAttempts
 		ds.totMisses += ss.totMisses
 		ds.alertsFired += ss.alertsFired
@@ -435,5 +393,4 @@ func (t *Tracker) MergeRemapped(src *Tracker, cells []int32, server int32, offse
 	}
 	t.alertsDropped += src.alertsDropped
 	t.rowsEvicted += src.rowsEvicted
-	return nil
 }

@@ -17,51 +17,34 @@
 package slo
 
 import (
-	"fmt"
 	"math"
 
 	"concordia/internal/sim"
 )
 
-// SketchConfig fixes a sketch's resolution. Two sketches merge only when
-// their configs are identical — the bucket layout is part of the merge
-// contract.
-type SketchConfig struct {
-	// Alpha is the relative-error bound: a quantile estimate q̂ for a true
-	// value x in [MinValue, MaxValue] satisfies |q̂-x| <= Alpha*x.
-	// 0 selects DefaultAlpha.
-	Alpha float64
-	// MinValue is the smallest magnitude (in ns) the log-linear buckets
-	// resolve; values in (-MinValue, MinValue) collapse into an exact zero
-	// bucket whose estimate is 0. 0 selects DefaultMinValue.
-	MinValue float64
-	// MaxValue is the largest magnitude (in ns) resolved at the error
-	// bound; records beyond it clamp into the outermost bucket and are
-	// counted in Clamped. 0 selects DefaultMaxValue.
-	MaxValue float64
-}
+// The sketch resolution: 1% relative error (alpha) over magnitudes in
+// [1 µs, 16 s] — six decades around the millisecond-scale slot deadlines,
+// ~965 buckets per sign at ~7.7 KB per store (uint32 counts). Every sketch
+// shares this layout, so any two sketches merge.
+//
+// A quantile estimate q̂ for a true value x in [minValue, maxValue]
+// satisfies |q̂-x| <= alpha*x. Values in (-minValue, minValue) collapse
+// into an exact zero bucket whose estimate is 0; magnitudes beyond maxValue
+// clamp into the outermost bucket and are counted in Clamped.
+//
+// These are float64 variables, not constants: the layout is computed at run
+// time in float64. The compiler evaluates a constant expression such as
+// (1+alpha)/(1-alpha) exactly, which can move a bucket edge.
+var (
+	alpha    float64 = 0.01
+	minValue float64 = 1e3  // 1 µs in ns
+	maxValue float64 = 16e9 // 16 s in ns
 
-// Default sketch resolution: 1% relative error over [1 µs, 16 s] — six
-// decades around the millisecond-scale slot deadlines, ~965 buckets per
-// sign at ~7.7 KB per store (uint32 counts).
-const (
-	DefaultAlpha    = 0.01
-	DefaultMinValue = 1e3  // 1 µs in ns
-	DefaultMaxValue = 16e9 // 16 s in ns
+	gamma   = (1 + alpha) / (1 - alpha)
+	invLogG = 1 / math.Log(gamma)
+	minIdx  = int(math.Ceil(math.Log(minValue) * invLogG)) // bucket holding minValue
+	buckets = int(math.Ceil(math.Log(maxValue)*invLogG)) - minIdx + 1
 )
-
-func (c SketchConfig) withDefaults() SketchConfig {
-	if c.Alpha <= 0 {
-		c.Alpha = DefaultAlpha
-	}
-	if c.MinValue <= 0 {
-		c.MinValue = DefaultMinValue
-	}
-	if c.MaxValue <= c.MinValue {
-		c.MaxValue = DefaultMaxValue
-	}
-	return c
-}
 
 // Sketch is a DDSketch-style log-linear quantile sketch over int64
 // nanosecond values (sim.Time durations). Bucket i covers
@@ -76,47 +59,27 @@ func (c SketchConfig) withDefaults() SketchConfig {
 // and the index of a value is a pure function of the value — a merged
 // sketch is byte-identical to the sketch of the concatenated streams.
 type Sketch struct {
-	cfg      SketchConfig
-	gamma    float64
-	invLogG  float64 // 1 / ln(gamma)
-	minIdx   int     // index of the bucket containing MinValue
 	pos, neg []uint32
-	zero     uint64 // |v| < MinValue, including exact zeros
+	zero     uint64 // |v| < minValue, including exact zeros
 	count    uint64
 	sum      int64 // exact integer sum; associative under merge
 	min, max int64 // exact extrema (valid when count > 0)
-	// clamped counts records outside [MinValue, MaxValue] magnitude; they
+	// clamped counts records outside [minValue, maxValue] magnitude; they
 	// still land in the outermost bucket so quantiles stay defined, but the
 	// error bound does not cover them.
 	clamped uint64
 }
 
-// NewSketch builds an empty sketch with the given resolution.
-func NewSketch(cfg SketchConfig) *Sketch {
-	cfg = cfg.withDefaults()
-	gamma := (1 + cfg.Alpha) / (1 - cfg.Alpha)
-	invLogG := 1 / math.Log(gamma)
-	minIdx := int(math.Ceil(math.Log(cfg.MinValue) * invLogG))
-	maxIdx := int(math.Ceil(math.Log(cfg.MaxValue) * invLogG))
-	n := maxIdx - minIdx + 1
-	return &Sketch{
-		cfg:     cfg,
-		gamma:   gamma,
-		invLogG: invLogG,
-		minIdx:  minIdx,
-		pos:     make([]uint32, n),
-		neg:     make([]uint32, n),
-	}
+// NewSketch builds an empty sketch.
+func NewSketch() *Sketch {
+	return &Sketch{pos: make([]uint32, buckets), neg: make([]uint32, buckets)}
 }
 
-// Config returns the sketch's resolved resolution.
-func (s *Sketch) Config() SketchConfig { return s.cfg }
-
-// bucketOf maps a magnitude (>= MinValue by construction of the callers)
+// bucketOf maps a magnitude (>= minValue by construction of the callers)
 // to its store slot, clamping out-of-range indices into the outermost
 // buckets.
 func (s *Sketch) bucketOf(mag float64) (slot int, clamped bool) {
-	i := int(math.Ceil(math.Log(mag)*s.invLogG)) - s.minIdx
+	i := int(math.Ceil(math.Log(mag)*invLogG)) - minIdx
 	if i < 0 {
 		return 0, true
 	}
@@ -144,7 +107,7 @@ func (s *Sketch) Record(v int64) {
 		mag = -mag
 		store = s.neg
 	}
-	if mag < s.cfg.MinValue {
+	if mag < minValue {
 		s.zero++
 		return
 	}
@@ -180,21 +143,21 @@ func (s *Sketch) Max() int64 {
 	return s.max
 }
 
-// Clamped returns how many records fell outside the configured magnitude
-// range (the error bound does not cover them).
+// Clamped returns how many records fell outside [minValue, maxValue] in
+// magnitude (the error bound does not cover them).
 func (s *Sketch) Clamped() uint64 { return s.clamped }
 
-// estimate returns the midpoint value of store slot i: within Alpha
+// estimate returns the midpoint value of store slot i: within alpha
 // relative error of every value the bucket covers.
 func (s *Sketch) estimate(i int) float64 {
-	return 2 * math.Pow(s.gamma, float64(i+s.minIdx)) / (s.gamma + 1)
+	return 2 * math.Pow(gamma, float64(i+minIdx)) / (gamma + 1)
 }
 
 // Quantile estimates the q-quantile (the 0-based floor(q*(count-1))-th
 // order statistic) in nanoseconds. q is clamped to [0, 1]; an empty sketch
-// returns 0. The estimate is within the configured relative-error bound of
-// the true order statistic whenever that value's magnitude lies in
-// [MinValue, MaxValue]; exact extrema sharpen the outermost answers.
+// returns 0. The estimate is within alpha relative error of the true order
+// statistic whenever that value's magnitude lies in [minValue, maxValue];
+// exact extrema sharpen the outermost answers.
 func (s *Sketch) Quantile(q float64) float64 {
 	if s.count == 0 {
 		return 0
@@ -231,16 +194,12 @@ func (s *Sketch) Quantile(q float64) float64 {
 // QuantileUs estimates the q-quantile in microseconds.
 func (s *Sketch) QuantileUs(q float64) float64 { return s.Quantile(q) / 1e3 }
 
-// Merge folds o into s. Both sketches must share a config (the bucket
-// layout is the merge contract); all state is integer, so merging is
-// exactly associative and commutative and a serial fleet reduction is
-// byte-identical at any worker count.
-func (s *Sketch) Merge(o *Sketch) error {
+// Merge folds o into s. Every sketch shares one bucket layout and all
+// state is integer, so merging is exactly associative and commutative and
+// a serial fleet reduction is byte-identical at any worker count.
+func (s *Sketch) Merge(o *Sketch) {
 	if o == nil || o.count == 0 {
-		return nil
-	}
-	if s.cfg != o.cfg {
-		return fmt.Errorf("slo: merging sketches with different configs (%+v vs %+v)", s.cfg, o.cfg)
+		return
 	}
 	for i, c := range o.pos {
 		s.pos[i] += c
@@ -258,7 +217,6 @@ func (s *Sketch) Merge(o *Sketch) error {
 	s.count += o.count
 	s.sum += o.sum
 	s.clamped += o.clamped
-	return nil
 }
 
 // Reset empties the sketch in place, retaining its bucket arrays — the

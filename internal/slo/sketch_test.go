@@ -18,10 +18,10 @@ const accN = 1001
 // checkAccuracy records vals into a fresh default sketch and asserts every
 // tested quantile estimate is within the relative-error bound of the exact
 // order statistic. slop widens the bound for values the zero bucket
-// absorbs (|v| < MinValue estimates as 0).
+// absorbs (|v| < minValue estimates as 0).
 func checkAccuracy(t *testing.T, name string, vals []int64) {
 	t.Helper()
-	s := NewSketch(SketchConfig{})
+	s := NewSketch()
 	fs := make([]float64, len(vals))
 	for i, v := range vals {
 		s.Record(v)
@@ -30,16 +30,15 @@ func checkAccuracy(t *testing.T, name string, vals []int64) {
 	if s.Clamped() != 0 {
 		t.Fatalf("%s: %d values clamped out of configured range; test must stay in range", name, s.Clamped())
 	}
-	alpha := s.Config().Alpha
 	for _, q := range accQs {
 		exact := stats.Quantile(fs, q)
 		got := s.Quantile(q)
-		// The bound |est-x| <= alpha*|x| holds for |x| >= MinValue; values
+		// The bound |est-x| <= alpha*|x| holds for |x| >= minValue; values
 		// below it collapse into the exact-zero bucket, whose absolute
-		// error is below MinValue by construction.
+		// error is below minValue by construction.
 		bound := alpha*math.Abs(exact) + 1e-9*math.Abs(exact)
-		if math.Abs(exact) < s.Config().MinValue {
-			bound += s.Config().MinValue
+		if math.Abs(exact) < minValue {
+			bound += minValue
 		}
 		if math.Abs(got-exact) > bound {
 			t.Errorf("%s q=%v: sketch %.6g vs exact %.6g (err %.3g > bound %.3g)",
@@ -83,7 +82,6 @@ func TestSketchAccuracyAdversarial(t *testing.T) {
 	// Adversarial for a log-linear sketch: values pinned to bucket
 	// boundaries (powers of gamma), massive duplication at a single value,
 	// and mixed signs straddling the zero bucket.
-	gamma := NewSketch(SketchConfig{}).gamma
 	var vals []int64
 	v := 2e3
 	for len(vals) < accN/3 {
@@ -120,14 +118,6 @@ func TestSketchAccuracySlack(t *testing.T) {
 	checkAccuracy(t, "slack", vals)
 }
 
-// mergeInto clones src's recorded stream into a fresh sketch via Merge.
-func mustMerge(t *testing.T, dst, src *Sketch) {
-	t.Helper()
-	if err := dst.Merge(src); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func sketchEqual(a, b *Sketch) bool {
 	if a.zero != b.zero || a.count != b.count || a.sum != b.sum ||
 		a.clamped != b.clamped || a.Min() != b.Min() || a.Max() != b.Max() {
@@ -145,29 +135,29 @@ func TestSketchMergeAssociative(t *testing.T) {
 	r := rng.New(0xa550c)
 	parts := make([]*Sketch, 3)
 	for p := range parts {
-		parts[p] = NewSketch(SketchConfig{})
+		parts[p] = NewSketch()
 		for i := 0; i < 400; i++ {
 			v := int64(r.Uniform(-1e6, 1e7))
 			parts[p].Record(v)
 		}
 	}
 	// (a+b)+c
-	left := NewSketch(SketchConfig{})
-	mustMerge(t, left, parts[0])
-	mustMerge(t, left, parts[1])
-	mustMerge(t, left, parts[2])
+	left := NewSketch()
+	left.Merge(parts[0])
+	left.Merge(parts[1])
+	left.Merge(parts[2])
 	// a+(b+c)
-	bc := NewSketch(SketchConfig{})
-	mustMerge(t, bc, parts[1])
-	mustMerge(t, bc, parts[2])
-	right := NewSketch(SketchConfig{})
-	mustMerge(t, right, parts[0])
-	mustMerge(t, right, bc)
+	bc := NewSketch()
+	bc.Merge(parts[1])
+	bc.Merge(parts[2])
+	right := NewSketch()
+	right.Merge(parts[0])
+	right.Merge(bc)
 	// c+b+a (commuted)
-	rev := NewSketch(SketchConfig{})
-	mustMerge(t, rev, parts[2])
-	mustMerge(t, rev, parts[1])
-	mustMerge(t, rev, parts[0])
+	rev := NewSketch()
+	rev.Merge(parts[2])
+	rev.Merge(parts[1])
+	rev.Merge(parts[0])
 	if !sketchEqual(left, right) {
 		t.Error("merge is not associative: (a+b)+c != a+(b+c)")
 	}
@@ -175,7 +165,7 @@ func TestSketchMergeAssociative(t *testing.T) {
 		t.Error("merge is not commutative: a+b+c != c+b+a")
 	}
 	// And the merged sketch is identical to the concatenated stream.
-	direct := NewSketch(SketchConfig{})
+	direct := NewSketch()
 	r2 := rng.New(0xa550c)
 	for p := 0; p < 3; p++ {
 		for i := 0; i < 400; i++ {
@@ -187,22 +177,9 @@ func TestSketchMergeAssociative(t *testing.T) {
 	}
 }
 
-func TestSketchMergeConfigMismatch(t *testing.T) {
-	a := NewSketch(SketchConfig{})
-	b := NewSketch(SketchConfig{Alpha: 0.02})
-	b.Record(5e5)
-	if err := a.Merge(b); err == nil {
-		t.Fatal("merging sketches with different configs should error")
-	}
-	// Merging an empty sketch is a no-op regardless of config.
-	if err := a.Merge(NewSketch(SketchConfig{Alpha: 0.02})); err != nil {
-		t.Fatalf("merging an empty mismatched sketch should be a no-op, got %v", err)
-	}
-}
-
 func TestSketchClampCounted(t *testing.T) {
-	s := NewSketch(SketchConfig{})
-	s.Record(int64(32e9)) // above MaxValue
+	s := NewSketch()
+	s.Record(int64(32e9)) // above maxValue
 	if s.Clamped() != 1 {
 		t.Fatalf("Clamped=%d, want 1", s.Clamped())
 	}
@@ -212,7 +189,7 @@ func TestSketchClampCounted(t *testing.T) {
 }
 
 func TestSketchResetReuses(t *testing.T) {
-	s := NewSketch(SketchConfig{})
+	s := NewSketch()
 	for i := 0; i < 100; i++ {
 		s.Record(int64(1e5 + float64(i)*1e4))
 	}
@@ -230,7 +207,7 @@ func TestSketchResetReuses(t *testing.T) {
 }
 
 func TestSketchRecordZeroAlloc(t *testing.T) {
-	s := NewSketch(SketchConfig{})
+	s := NewSketch()
 	v := int64(1e5)
 	allocs := testing.AllocsPerRun(1000, func() {
 		s.Record(v)
@@ -242,7 +219,7 @@ func TestSketchRecordZeroAlloc(t *testing.T) {
 }
 
 func BenchmarkSketchRecord(b *testing.B) {
-	s := NewSketch(SketchConfig{})
+	s := NewSketch()
 	b.ReportAllocs()
 	v := int64(1e5)
 	for i := 0; i < b.N; i++ {
@@ -255,7 +232,7 @@ func BenchmarkSketchRecord(b *testing.B) {
 }
 
 func BenchmarkSketchQuantile(b *testing.B) {
-	s := NewSketch(SketchConfig{})
+	s := NewSketch()
 	r := rng.New(7)
 	for i := 0; i < 10000; i++ {
 		s.Record(int64(r.Uniform(1e3, 1e9)))
@@ -267,14 +244,14 @@ func BenchmarkSketchQuantile(b *testing.B) {
 }
 
 func BenchmarkSketchMerge(b *testing.B) {
-	a := NewSketch(SketchConfig{})
-	c := NewSketch(SketchConfig{})
+	a := NewSketch()
+	c := NewSketch()
 	r := rng.New(9)
 	for i := 0; i < 10000; i++ {
 		c.Record(int64(r.Uniform(1e3, 1e9)))
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = a.Merge(c)
+		a.Merge(c)
 	}
 }

@@ -4,142 +4,84 @@ import (
 	"concordia/internal/sim"
 )
 
-// Objective is one slice's service-level objective: a latency-quantile
+// objective is one slice's service-level objective: a latency-quantile
 // target plus a deadline-miss error budget evaluated by burn-rate rules.
-type Objective struct {
-	// Name labels the slice in reports ("urllc", "embb").
-	Name string
-	// Quantile is the latency quantile the target applies to (e.g. 0.999).
-	Quantile float64
-	// LatencyTarget is the ceiling for that quantile; 0 means "the DAG
-	// deadline" (resolved from Options.Deadline at construction).
-	LatencyTarget sim.Time
-	// MissBudget is the tolerated deadline-miss fraction (the error
-	// budget): burn rate = observed miss rate / MissBudget.
-	MissBudget float64
+// The latency target is Options.Deadline.
+type objective struct {
+	// name labels the slice in reports.
+	name string
+	// quantile is the latency quantile the target applies to.
+	quantile float64
+	// missBudget is the tolerated deadline-miss fraction (the error
+	// budget): burn rate = observed miss rate / missBudget.
+	missBudget float64
 }
 
-// Slice presets. URLLC carries the paper's five-nines ambition scaled to
-// windowed observation (a 1e-4 budget burns at 100x under a 1% miss rate,
-// so chaos-grade degradation alerts within one fast window); eMBB tolerates
-// two orders of magnitude more.
-func URLLCObjective() Objective {
-	return Objective{Name: "urllc", Quantile: 0.999, MissBudget: 1e-4}
+// objectives is the slice table; slice IDs index it. URLLC (slice 0)
+// carries the paper's five-nines ambition scaled to windowed observation (a
+// 1e-4 budget burns at 100x under a 1% miss rate, so chaos-grade
+// degradation alerts within one fast window); eMBB (slice 1) tolerates two
+// orders of magnitude more.
+var objectives = [...]objective{
+	{name: "urllc", quantile: 0.999, missBudget: 1e-4},
+	{name: "embb", quantile: 0.99, missBudget: 1e-2},
 }
 
-// EMBBObjective is the broadband slice preset.
-func EMBBObjective() Objective {
-	return Objective{Name: "embb", Quantile: 0.99, MissBudget: 1e-2}
-}
-
-// DefaultObjectives returns the two-slice URLLC/eMBB preset; slice 0 is
-// URLLC, slice 1 eMBB (the default SliceOf maps even cells to 0).
-func DefaultObjectives() []Objective {
-	return []Objective{URLLCObjective(), EMBBObjective()}
-}
-
-// Default window geometry and alerting thresholds.
+// Window geometry, alerting thresholds and bounds.
 const (
 	// DefaultWindow is the tumbling sub-window width.
 	DefaultWindow = 20 * sim.Millisecond
-	// DefaultFastWindows / DefaultSlowWindows size the multi-window burn
-	// rule in sub-windows: fast = 1 window (20 ms), slow = 8 (160 ms).
-	DefaultFastWindows = 1
-	DefaultSlowWindows = 8
+	// fastWindows / slowWindows size the multi-window burn rule in
+	// sub-windows: fast = 1 window (20 ms by default), slow = 8 (160 ms).
+	// The sliding windows are sums over the ring of the most recent
+	// sub-windows, so they inherit the sketch layer's mergeability and
+	// determinism.
+	fastWindows = 1
+	slowWindows = 8
 	// DefaultBurnThreshold is the multi-window trigger (the SRE-style
 	// "14.4x budget velocity" page threshold): an alert fires when both the
 	// fast and the slow window burn at or above it.
 	DefaultBurnThreshold = 14.4
-	// DefaultRowCapacity bounds the window-row ring; DefaultAlertCapacity
-	// the alert timeline.
-	DefaultRowCapacity   = 1 << 14
-	DefaultAlertCapacity = 1 << 10
-	// DefaultFaultHorizon is how long after a fault injection on a cell a
-	// miss on that cell is counted under the fault's class. This is the
-	// online (streaming) attribution heuristic; the autopsy's post-hoc
-	// partition stays the ground truth.
-	DefaultFaultHorizon = 10 * sim.Millisecond
+	// rowCapacity bounds the window-row ring; alertCapacity the alert
+	// timeline. Overflow is counted, not grown.
+	rowCapacity   = 1 << 14
+	alertCapacity = 1 << 10
+	// faultHorizon is how long after a fault injection on a cell a miss on
+	// that cell is counted under the fault's class. This is the online
+	// (streaming) attribution heuristic; the autopsy's post-hoc partition
+	// stays the ground truth.
+	faultHorizon = 10 * sim.Millisecond
 )
 
 // Options configures a Tracker.
 type Options struct {
 	// Window is the tumbling sub-window width (0 selects DefaultWindow).
 	Window sim.Time
-	// FastWindows and SlowWindows size the burn-rate windows in tumbling
-	// sub-windows (0 selects the defaults). The sliding windows are sums
-	// over the ring of the most recent sub-windows, so they inherit the
-	// sketch layer's mergeability and determinism.
-	FastWindows int
-	SlowWindows int
 	// BurnThreshold is the multi-window alert trigger (0 selects
 	// DefaultBurnThreshold).
 	BurnThreshold float64
-	// Deadline is the DAG processing deadline, used to derive slack and to
-	// resolve LatencyTarget=0 objectives. Required (the integration layers
-	// fill it from their own config).
+	// Deadline is the DAG processing deadline, used to derive slack and as
+	// every slice's latency target. Required (the integration layers fill
+	// it from their own config).
 	Deadline sim.Time
-	// Sketch sets the quantile-sketch resolution (zero value = defaults).
-	Sketch SketchConfig
-	// Objectives lists per-slice SLOs; slice IDs index this slice. Nil
-	// selects DefaultObjectives (URLLC + eMBB).
-	Objectives []Objective
-	// SliceOf maps a cell ID to its slice. Nil maps even cells to slice 0
-	// and odd cells to slice 1. Must be pure and deterministic.
+	// SliceOf maps a cell ID to its slice (0 URLLC, 1 eMBB; out-of-range
+	// results clamp). Nil maps even cells to slice 0 and odd cells to
+	// slice 1. Must be pure and deterministic.
 	SliceOf func(cell int32) int32
 	// Server stamps every key and event this tracker produces (fleet runs
 	// give each per-server tracker its index; single-pool runs use 0).
 	Server int32
-	// RowCapacity bounds the window-row ring (0 selects
-	// DefaultRowCapacity); AlertCapacity bounds the alert timeline (0
-	// selects DefaultAlertCapacity). Overflow is counted, not grown.
-	RowCapacity   int
-	AlertCapacity int
-	// FaultHorizon is the online fault-attribution window (0 selects
-	// DefaultFaultHorizon).
-	FaultHorizon sim.Time
 }
 
 func (o Options) withDefaults() Options {
 	if o.Window <= 0 {
 		o.Window = DefaultWindow
 	}
-	if o.FastWindows <= 0 {
-		o.FastWindows = DefaultFastWindows
-	}
-	if o.SlowWindows < o.FastWindows {
-		o.SlowWindows = DefaultSlowWindows
-	}
-	if o.SlowWindows < o.FastWindows {
-		o.SlowWindows = o.FastWindows
-	}
 	if o.BurnThreshold <= 0 {
 		o.BurnThreshold = DefaultBurnThreshold
 	}
-	if o.Objectives == nil {
-		o.Objectives = DefaultObjectives()
-	}
 	if o.SliceOf == nil {
 		o.SliceOf = func(cell int32) int32 { return cell % 2 }
-	}
-	if o.RowCapacity <= 0 {
-		o.RowCapacity = DefaultRowCapacity
-	}
-	if o.AlertCapacity <= 0 {
-		o.AlertCapacity = DefaultAlertCapacity
-	}
-	if o.FaultHorizon <= 0 {
-		o.FaultHorizon = DefaultFaultHorizon
-	}
-	for i := range o.Objectives {
-		if o.Objectives[i].LatencyTarget <= 0 {
-			o.Objectives[i].LatencyTarget = o.Deadline
-		}
-		if o.Objectives[i].Quantile <= 0 || o.Objectives[i].Quantile > 1 {
-			o.Objectives[i].Quantile = 0.99
-		}
-		if o.Objectives[i].MissBudget <= 0 {
-			o.Objectives[i].MissBudget = 1e-3
-		}
 	}
 	return o
 }

@@ -1,6 +1,7 @@
 package slo
 
 import (
+	"slices"
 	"sort"
 
 	"concordia/internal/faults"
@@ -48,7 +49,7 @@ type keyState struct {
 	totMisses   uint64
 	totTasks    uint64
 	// faultMisses attributes misses to the fault class most recently
-	// injected on the cell (within Options.FaultHorizon); index
+	// injected on the cell (within faultHorizon); index
 	// faults.NumClasses counts misses with no recent fault.
 	faultMisses [faults.NumClasses + 1]uint64
 }
@@ -61,9 +62,9 @@ type winCounts struct {
 	misses   uint64
 }
 
-// sliceState aggregates a slice (an Objective) across all its cells.
+// sliceState aggregates a slice (an objective) across all its cells.
 type sliceState struct {
-	obj Objective
+	obj objective
 
 	// Current tumbling window, slice-wide.
 	lat      *Sketch
@@ -71,9 +72,9 @@ type sliceState struct {
 	attempts uint64
 	misses   uint64
 
-	// Ring of the last SlowWindows closed sub-windows (index ringNext is
+	// Ring of the last slowWindows closed sub-windows (index ringNext is
 	// the next write slot; unfilled entries are zero-attempt windows).
-	ring     []winCounts
+	ring     [slowWindows]winCounts
 	ringNext int
 
 	firing      bool
@@ -112,7 +113,7 @@ type Tracker struct {
 	boundary sim.Time // end of the current window
 	winSeq   int32    // closed windows so far
 
-	rows        []WindowRow // ring: oldest overwritten first past RowCapacity
+	rows        []WindowRow // ring: oldest overwritten first past rowCapacity
 	rowNext     int
 	rowFull     bool
 	rowsEvicted uint64
@@ -124,7 +125,7 @@ type Tracker struct {
 	lastFaultClass []int8
 	lastFaultAt    []sim.Time
 
-	burns []burnPoint // rotation scratch, one per slice
+	burns [len(objectives)]burnPoint // rotation scratch, one per slice
 }
 
 // New builds a Tracker. trc may be nil (events are then dropped but the
@@ -136,26 +137,21 @@ func New(opts Options, trc *telemetry.Tracer) *Tracker {
 		trc:      trc,
 		index:    make(map[Key]*keyState),
 		boundary: opts.Window,
-		rows:     make([]WindowRow, 0, opts.RowCapacity),
-		alerts:   make([]AlertRow, 0, opts.AlertCapacity),
+		rows:     make([]WindowRow, 0, rowCapacity),
+		alerts:   make([]AlertRow, 0, alertCapacity),
 	}
-	for _, obj := range opts.Objectives {
+	for _, obj := range objectives {
 		t.slices = append(t.slices, &sliceState{
 			obj:    obj,
-			lat:    NewSketch(opts.Sketch),
-			slack:  NewSketch(opts.Sketch),
-			totLat: NewSketch(opts.Sketch),
-			ring:   make([]winCounts, opts.SlowWindows),
+			lat:    NewSketch(),
+			slack:  NewSketch(),
+			totLat: NewSketch(),
 		})
 	}
-	t.burns = make([]burnPoint, len(t.slices))
 	return t
 }
 
-// Options returns the tracker's resolved options.
-func (t *Tracker) Options() Options { return t.opts }
-
-// sliceFor clamps a SliceOf result into the configured objective range.
+// sliceFor clamps a SliceOf result into the objective table.
 func (t *Tracker) sliceFor(cell int32) int32 {
 	s := t.opts.SliceOf(cell)
 	if s < 0 {
@@ -169,23 +165,26 @@ func (t *Tracker) sliceFor(cell int32) int32 {
 
 // keyFor returns (creating on first sight) the state for a cell's stream.
 func (t *Tracker) keyFor(cell int32) *keyState {
-	k := Key{Cell: cell, Server: t.opts.Server, Slice: t.sliceFor(cell)}
+	return t.key(Key{Cell: cell, Server: t.opts.Server, Slice: t.sliceFor(cell)})
+}
+
+// key returns k's state, creating it on first sight and inserting it into
+// the sorted key list.
+func (t *Tracker) key(k Key) *keyState {
 	if ks, ok := t.index[k]; ok {
 		return ks
 	}
 	ks := &keyState{
 		key:      k,
-		lat:      NewSketch(t.opts.Sketch),
-		slack:    NewSketch(t.opts.Sketch),
-		totLat:   NewSketch(t.opts.Sketch),
-		totSlack: NewSketch(t.opts.Sketch),
-		totTask:  NewSketch(t.opts.Sketch),
+		lat:      NewSketch(),
+		slack:    NewSketch(),
+		totLat:   NewSketch(),
+		totSlack: NewSketch(),
+		totTask:  NewSketch(),
 	}
 	t.index[k] = ks
 	i := sort.Search(len(t.keys), func(i int) bool { return !keyLess(t.keys[i].key, k) })
-	t.keys = append(t.keys, nil)
-	copy(t.keys[i+1:], t.keys[i:])
-	t.keys[i] = ks
+	t.keys = slices.Insert(t.keys, i, ks)
 	return ks
 }
 
@@ -215,11 +214,11 @@ func (t *Tracker) NoteFault(now sim.Time, cell int32, class faults.Class) {
 }
 
 // recentFault returns the attribution bucket for a miss on cell at now:
-// the class of the most recent fault within FaultHorizon, or
+// the class of the most recent fault within faultHorizon, or
 // faults.NumClasses when none is recent.
 func (t *Tracker) recentFault(now sim.Time, cell int32) int {
 	if cell >= 0 && int(cell) < len(t.lastFaultAt) && t.lastFaultClass[cell] >= 0 &&
-		now-t.lastFaultAt[cell] <= t.opts.FaultHorizon {
+		now-t.lastFaultAt[cell] <= faultHorizon {
 		return int(t.lastFaultClass[cell])
 	}
 	return faults.NumClasses
@@ -312,16 +311,16 @@ func (t *Tracker) rotate(b sim.Time) {
 		if ss.ringNext == len(ss.ring) {
 			ss.ringNext = 0
 		}
-		fast := burnRate(ss.ringSum(t.opts.FastWindows), ss.obj.MissBudget)
-		slow := burnRate(ss.ringSum(t.opts.SlowWindows), ss.obj.MissBudget)
+		fast := burnRate(ss.ringSum(fastWindows), ss.obj.missBudget)
+		slow := burnRate(ss.ringSum(slowWindows), ss.obj.missBudget)
 		firing := fast >= t.opts.BurnThreshold && slow >= t.opts.BurnThreshold
 		t.burns[si] = burnPoint{fast: fast, slow: slow, firing: firing}
 
 		var qLat float64
 		if ss.attempts > 0 {
 			ss.windows++
-			qLat = ss.lat.Quantile(ss.obj.Quantile)
-			if qLat > float64(ss.obj.LatencyTarget) {
+			qLat = ss.lat.Quantile(ss.obj.quantile)
+			if qLat > float64(t.opts.Deadline) {
 				ss.violations++
 			}
 		}
@@ -359,9 +358,9 @@ func (t *Tracker) rotate(b sim.Time) {
 				Start: t.winStart, End: b, Window: seq,
 				Cell: ks.key.Cell, Server: ks.key.Server, Slice: ks.key.Slice,
 				Attempts: ks.attempts, Misses: ks.misses,
-				P50Us:  ks.lat.QuantileUs(0.50),
-				P99Us:  ks.lat.QuantileUs(0.99),
-				P999Us: ks.lat.QuantileUs(0.999),
+				P50Us:     ks.lat.QuantileUs(0.50),
+				P99Us:     ks.lat.QuantileUs(0.99),
+				P999Us:    ks.lat.QuantileUs(0.999),
 				SlackP1Us: ks.slack.QuantileUs(0.01),
 				FastBurn:  bp.fast, SlowBurn: bp.slow, Firing: bp.firing,
 			})

@@ -58,13 +58,10 @@ func TestTrackerWindowRows(t *testing.T) {
 
 func TestTrackerBurnAlertFireAndClear(t *testing.T) {
 	opts := testOpts()
-	opts.FastWindows = 1
-	opts.SlowWindows = 4
-	opts.Objectives = []Objective{{Name: "t", Quantile: 0.99, MissBudget: 1e-2}}
-	opts.SliceOf = func(int32) int32 { return 0 }
+	opts.SliceOf = func(int32) int32 { return 0 } // URLLC: 1e-4 budget
 	tr := New(opts, nil)
 
-	// Window 0: 10 attempts, 5 misses -> fast and slow burn 50x budget.
+	// Window 0: 10 attempts, 5 misses -> fast and slow burn 5000x budget.
 	for i := 0; i < 10; i++ {
 		at := sim.Time(i) * sim.Microsecond
 		if i < 5 {
@@ -84,11 +81,11 @@ func TestTrackerBurnAlertFireAndClear(t *testing.T) {
 		t.Fatalf("got %d alert transitions, want fire+clear: %+v", len(alerts), alerts)
 	}
 	fire, clearA := alerts[0], alerts[1]
-	if !fire.Firing || fire.At != sim.Millisecond || fire.FastBurn != 50 || fire.SlowBurn != 50 {
+	if !fire.Firing || fire.At != sim.Millisecond || fire.FastBurn != 5000 || fire.SlowBurn != 5000 {
 		t.Errorf("fire transition wrong: %+v", fire)
 	}
-	if clearA.Firing || clearA.At != msTime(2) || clearA.FastBurn != 0 || clearA.SlowBurn != 25 {
-		t.Errorf("clear transition wrong (slow burn should decay to 5/20/1e-2=25): %+v", clearA)
+	if clearA.Firing || clearA.At != msTime(2) || clearA.FastBurn != 0 || clearA.SlowBurn != 2500 {
+		t.Errorf("clear transition wrong (slow burn should decay to 5/20/1e-4=2500): %+v", clearA)
 	}
 	if at, ok := tr.FirstFiring(); !ok || at != sim.Millisecond {
 		t.Errorf("FirstFiring = %v, %v; want 1ms, true", at, ok)
@@ -183,7 +180,7 @@ func TestTrackerRecordRotateZeroAlloc(t *testing.T) {
 	// Warm-up: materialize every key and fill the rings past capacity
 	// concerns, and pre-grow the fault arrays.
 	now := sim.Time(0)
-	for w := 0; w < opts.SlowWindows+2; w++ {
+	for w := 0; w < slowWindows+2; w++ {
 		for c := int32(0); c < 4; c++ {
 			tr.NoteFault(now, c, faults.TaskOverrun)
 			tr.RecordDAG(now, c, msTime(3), true)
@@ -225,12 +222,8 @@ func TestTrackerMergeRemapped(t *testing.T) {
 	}
 	merge := func() *Tracker {
 		fleet := New(opts, nil)
-		if err := fleet.MergeRemapped(mkServer(0), []int32{10, 11}, 0, 0); err != nil {
-			t.Fatal(err)
-		}
-		if err := fleet.MergeRemapped(mkServer(1), []int32{20, 21}, 1, msTime(5)); err != nil {
-			t.Fatal(err)
-		}
+		fleet.MergeRemapped(mkServer(0), []int32{10, 11}, 0, 0)
+		fleet.MergeRemapped(mkServer(1), []int32{20, 21}, 1, msTime(5))
 		return fleet
 	}
 	fleet := merge()

@@ -265,31 +265,18 @@ type Options struct {
 	// TraceCapacity bounds the event ring buffer (<=0 selects
 	// DefaultTraceCapacity).
 	TraceCapacity int
-	// SamplePeriod is the metrics time-series sampling interval; 0 lets the
-	// instrumented component choose (the pool samples once per slot).
-	SamplePeriod sim.Time
-	// SampleCapacity bounds the metrics time-series ring: only the most
-	// recent SampleCapacity rows are retained (<=0 selects
-	// DefaultSampleCapacity).
-	SampleCapacity int
 }
 
 // Recorder bundles the event tracer and the metrics registry that one
 // simulation writes into. A nil *Recorder disables telemetry: components
-// guard instrumentation sites with a single nil check.
+// guard instrumentation sites with a single nil check. The pool samples
+// the metrics time series once per slot.
 type Recorder struct {
 	Trace   *Tracer
 	Metrics *Registry
-	// SamplePeriod is the configured metrics sampling interval (0 = let the
-	// instrumented component choose).
-	SamplePeriod sim.Time
 }
 
 // New returns an enabled recorder.
 func New(opts Options) *Recorder {
-	return &Recorder{
-		Trace:        NewTracer(opts.TraceCapacity),
-		Metrics:      NewRegistryCapacity(opts.SampleCapacity),
-		SamplePeriod: opts.SamplePeriod,
-	}
+	return &Recorder{Trace: NewTracer(opts.TraceCapacity), Metrics: NewRegistry()}
 }

@@ -11,7 +11,8 @@ build:
 test:
 	$(GO) test -timeout 20m ./...
 
-# lint is the static gate: go vet, then the determinism + memory-discipline
+# lint is the static gate: gofmt over every tracked Go file, go vet, then the
+# determinism + memory-discipline
 # suite (DESIGN.md §5b, §5g — walltime, rngdiscipline, goroutinescope,
 # maporder, floatsum, poolescape, scratchalias, handleliveness) via the
 # cmd/concordialint vettool, then staticcheck and govulncheck when they are
@@ -19,6 +20,12 @@ test:
 # versions from tools/go.mod). The third-party linters are gated on
 # availability so the hermetic build environment still lints.
 lint: build
+	@unformatted=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$unformatted" ]; then \
+		echo "lint: gofmt -l lists files that need formatting:"; \
+		echo "$$unformatted"; \
+		exit 1; \
+	fi
 	$(GO) vet ./...
 	$(GO) run ./cmd/concordialint ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \

@@ -876,7 +876,6 @@ func (p *Pool) dispatchTask(t *task, ci int, now sim.Time) {
 	if p.tel != nil {
 		delay := now - t.readyAt
 		p.report.observeQueueDelay(t.node.CellID, delay)
-		p.tel.hQueueUs.Observe(delay.Us())
 		p.tel.trc.Emit(telemetry.Event{
 			At: now, Kind: telemetry.EvTaskDispatch,
 			Core: int32(ci), Cell: int32(t.node.CellID), Slot: int32(t.dag.dag.Slot),
@@ -1219,7 +1218,6 @@ func (p *Pool) completeTask(t *task, ci int, now sim.Time) (keep *task) {
 	p.report.observeTask(t.node.Kind, elapsed)
 	if p.tel != nil {
 		p.tel.cTasks.Inc()
-		p.tel.hTaskUs.Observe(elapsed.Us())
 		p.tel.trc.Emit(telemetry.Event{
 			At: now, Kind: telemetry.EvTaskComplete,
 			Core: int32(ci), Cell: int32(t.node.CellID), Slot: int32(run.dag.Slot),
@@ -1638,11 +1636,9 @@ func (p *Pool) onCoreAwake(ci int) {
 	c.state = coreIdleRAN
 	c.idleSince = p.eng.Now()
 	if p.tel != nil {
-		wake := p.eng.Now() - c.wakeStart
-		p.tel.hWakeUs.Observe(wake.Us())
 		p.tel.trc.Emit(telemetry.Event{
 			At: p.eng.Now(), Kind: telemetry.EvCoreAwake,
-			Core: int32(ci), Cell: -1, Slot: -1, Task: -1, Dur: wake,
+			Core: int32(ci), Cell: -1, Slot: -1, Task: -1, Dur: p.eng.Now() - c.wakeStart,
 		})
 	}
 	p.dispatch(p.eng.Now())

@@ -31,10 +31,6 @@ type telemetryHooks struct {
 	cFaults   *telemetry.Counter
 	cRecovers *telemetry.Counter
 
-	hQueueUs *telemetry.Histogram
-	hTaskUs  *telemetry.Histogram
-	hWakeUs  *telemetry.Histogram
-
 	gRANCores    *telemetry.Gauge
 	gBusyCores   *telemetry.Gauge
 	gReady       *telemetry.Gauge
@@ -66,10 +62,6 @@ func newTelemetryHooks(rec *telemetry.Recorder, faultsEnabled bool) *telemetryHo
 		cYields:       m.Counter("core_yields"),
 		cRotations:    m.Counter("rotations"),
 		cOffloads:     m.Counter("offloads"),
-
-		hQueueUs: m.Histogram("queue_delay_us", telemetry.DefaultLatencyBucketsUs),
-		hTaskUs:  m.Histogram("task_runtime_us", telemetry.DefaultLatencyBucketsUs),
-		hWakeUs:  m.Histogram("wakeup_us", telemetry.DefaultLatencyBucketsUs),
 
 		gRANCores:    m.Gauge("ran_cores"),
 		gBusyCores:   m.Gauge("busy_cores"),

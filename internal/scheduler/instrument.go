@@ -2,27 +2,16 @@ package scheduler
 
 import "concordia/internal/sim"
 
-// Decision describes one core-allocation decision for observers: when it was
-// made, by which policy, what it saw, and what it chose.
-type Decision struct {
-	Now    sim.Time
-	Policy string
-	// Cores is the chosen target.
-	Cores int
-	// Critical reports a Concordia critical-stage escalation (always false
-	// for the baselines, which have no notion of a critical stage).
-	Critical bool
-	// DAGs is the number of in-flight DAGs at the decision point.
-	DAGs int
-}
-
 // Instrumented wraps a policy so every Cores call is reported to Observe
 // before the decision is returned. The wrapper is transparent: Name,
 // Interval and CompensatesWakeups forward to the inner policy, so the pool
 // treats an instrumented scheduler exactly like the bare one.
 type Instrumented struct {
-	Inner   Scheduler
-	Observe func(Decision)
+	Inner Scheduler
+	// Observe receives whether the decision was a Concordia critical-stage
+	// escalation (always false for the baselines, which have no notion of a
+	// critical stage).
+	Observe func(critical bool)
 }
 
 // Name implements Scheduler.
@@ -42,7 +31,7 @@ func (i Instrumented) Cores(s PoolState) int {
 		if c, ok := i.Inner.(*Concordia); ok && n == s.TotalCores && len(s.DAGs) > 0 {
 			critical = c.Critical(s)
 		}
-		i.Observe(Decision{Now: s.Now, Policy: i.Inner.Name(), Cores: n, Critical: critical, DAGs: len(s.DAGs)})
+		i.Observe(critical)
 	}
 	return n
 }

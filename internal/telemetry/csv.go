@@ -57,20 +57,6 @@ func (r *Registry) WriteMetricsCSV(w io.Writer) error {
 	return bw.Flush()
 }
 
-// WriteSnapshotCSV exports the final value of every metric as name,value
-// rows in sorted name order (histograms expand to _count/_sum/_le_* series).
-func (r *Registry) WriteSnapshotCSV(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	bw.WriteString("metric,value\n")
-	for _, mv := range r.Snapshot() {
-		bw.WriteString(mv.Name)
-		bw.WriteByte(',')
-		bw.WriteString(formatFloat(mv.Value))
-		bw.WriteByte('\n')
-	}
-	return bw.Flush()
-}
-
 // WriteEventsCSV exports the tracer's retained events as CSV
 // (time_us,kind,core,cell,slot,task,dur_us,a,b) in emission order.
 func (t *Tracer) WriteEventsCSV(w io.Writer) error {

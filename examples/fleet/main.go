@@ -14,29 +14,13 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
-	"os"
 
 	"concordia"
+	"concordia/internal/cli"
 )
 
-func writeExport(path string, write func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
 func main() {
-	sloOut := flag.String("slo", "", "attach the streaming SLO plane and write fleet-merged window rows CSV to this file")
-	sloReport := flag.String("slo-report", "", "attach the streaming SLO plane and write the markdown fleet-health report to this file")
-	sloWindow := flag.Float64("slo-window", 0, "SLO tumbling sub-window width in ms (0 = default 20)")
-	sloBurn := flag.Float64("slo-burn", 0, "SLO burn-rate alert threshold (0 = default 14.4)")
+	sloFlags := cli.BindSLO(flag.CommandLine)
 	flag.Parse()
 
 	cfg := concordia.FleetConfig{
@@ -51,12 +35,7 @@ func main() {
 		ForceMigrateEpoch: 2,
 		Seed:              11,
 		TrainingSlots:     400,
-	}
-	if *sloOut != "" || *sloReport != "" {
-		cfg.SLO = &concordia.SLOOptions{
-			Window:        concordia.Milliseconds(*sloWindow),
-			BurnThreshold: *sloBurn,
-		}
+		SLO:               sloFlags.Options(),
 	}
 	res, err := concordia.RunFleet(cfg)
 	if err != nil {
@@ -87,15 +66,8 @@ func main() {
 			fmt.Printf("  %-6s attempts %-7d misses %-5d budget remaining %.3f\n",
 				s.Name, s.Attempts, s.Misses, s.BudgetRemaining)
 		}
-		if *sloOut != "" {
-			if err := writeExport(*sloOut, res.SLO.WriteCSV); err != nil {
-				panic(err)
-			}
-		}
-		if *sloReport != "" {
-			if err := writeExport(*sloReport, res.SLO.WriteHealthReport); err != nil {
-				panic(err)
-			}
+		if err := sloFlags.Write(res.SLO); err != nil {
+			panic(err)
 		}
 	}
 }

@@ -30,7 +30,14 @@ func TestTelemetryWorkerDeterminism(t *testing.T) {
 	for _, c := range captures {
 		o := base
 		o.Workers = c.workers
-		if err := experiments.CaptureTelemetry(o, &c.trace, &c.metrics); err != nil {
+		sys, err := experiments.CaptureTelemetry(o)
+		if err != nil {
+			t.Fatalf("Workers=%d: %v", c.workers, err)
+		}
+		if err := sys.WriteChromeTrace(&c.trace); err != nil {
+			t.Fatalf("Workers=%d: %v", c.workers, err)
+		}
+		if err := sys.WriteMetricsCSV(&c.metrics); err != nil {
 			t.Fatalf("Workers=%d: %v", c.workers, err)
 		}
 		if c.trace.Len() == 0 || c.metrics.Len() == 0 {

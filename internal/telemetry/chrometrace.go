@@ -3,6 +3,7 @@ package telemetry
 import (
 	"encoding/json"
 	"io"
+	"math"
 	"strconv"
 
 	"concordia/internal/ran"
@@ -37,36 +38,6 @@ const (
 	tidSched    = 0
 )
 
-// traceEvent is one Chrome trace-event object. Field order and omitempty
-// choices are part of the exported byte format; do not reorder.
-type traceEvent struct {
-	Name  string         `json:"name"`
-	Cat   string         `json:"cat,omitempty"`
-	Ph    string         `json:"ph"`
-	Ts    float64        `json:"ts"`
-	Dur   *float64       `json:"dur,omitempty"`
-	Pid   int            `json:"pid"`
-	Tid   int            `json:"tid"`
-	ID    *int64         `json:"id,omitempty"`
-	Scope string         `json:"s,omitempty"`
-	Args  map[string]any `json:"args,omitempty"`
-}
-
-// chromeTrace is the JSON-object trace container format.
-type chromeTrace struct {
-	TraceEvents     []traceEvent `json:"traceEvents"`
-	DisplayTimeUnit string       `json:"displayTimeUnit"`
-}
-
-func us(t sim.Time) float64 { return t.Us() }
-
-func durp(d sim.Time) *float64 {
-	v := d.Us()
-	return &v
-}
-
-func idp(v int64) *int64 { return &v }
-
 func taskName(task int32) string {
 	if task < 0 || task >= int32(ran.NumTaskKinds) {
 		return "task"
@@ -76,11 +47,6 @@ func taskName(task int32) string {
 
 func dirName(dir int64) string { return ran.SlotDir(dir).String() }
 
-// metaEvent builds a process_name/thread_name metadata record.
-func metaEvent(name string, pid, tid int, value string) traceEvent {
-	return traceEvent{Name: name, Ph: "M", Pid: pid, Tid: tid, Args: map[string]any{"name": value}}
-}
-
 // WriteChromeTrace exports the tracer's retained events as Chrome
 // trace-event JSON (the "JSON object format" with a traceEvents array),
 // loadable in Perfetto (ui.perfetto.dev) or chrome://tracing. One process
@@ -89,58 +55,72 @@ func metaEvent(name string, pid, tid int, value string) traceEvent {
 // tracks, deadline misses and core transitions are instants ("i"), DAG
 // lifetimes are async ("b"/"e") spans keyed by the DAG sequence number, and
 // accelerator requests are spans on the device's lane threads.
+//
+// The export streams: it walks the ring in place and writes each record
+// into one fixed buffer, so its memory does not depend on the trace's
+// length. The bytes are what encoding/json writes for the same records
+// (see appendFloat and appendString), and the first error from w is
+// returned.
 func WriteChromeTrace(w io.Writer, t *Tracer, meta ChromeTraceMeta) error {
 	if meta.Process == "" {
 		meta.Process = "vran-pool"
 	}
-	events := t.Events()
-	out := make([]traceEvent, 0, len(events)+2*meta.Cores+8)
+	s := newStream(w)
 
-	// Track metadata first: process and thread names.
-	out = append(out,
-		metaEvent("process_name", pidPool, 0, meta.Process),
-		metaEvent("thread_name", pidPool, tidSched, "scheduler"),
-	)
+	// Track metadata first: process and thread names. Every record starts
+	// with the comma that separates it from the one before; the first
+	// record's becomes the array's opening bracket.
+	s.b = append(s.b, `{"traceEvents":`...)
+	s.b = appendMeta(s.b, "process_name", pidPool, 0, meta.Process)
+	s.b[len(`{"traceEvents":`)] = '['
+	s.b = appendMeta(s.b, "thread_name", pidPool, tidSched, "scheduler")
 	for c := 0; c < meta.Cores; c++ {
-		out = append(out, metaEvent("thread_name", pidPool, c+1, "core "+strconv.Itoa(c)))
+		s.b = appendMeta(s.b, "thread_name", pidPool, c+1, "core "+strconv.Itoa(c))
 	}
 
 	haveAccel := false
-	for _, ev := range events {
-		out = append(out, convertEvent(ev)...)
-		if ev.Kind == EvOffloadSpan {
-			haveAccel = true
+	older, newer := t.ring()
+	for _, events := range [2][]Event{older, newer} {
+		for i := range events {
+			ev := &events[i]
+			s.b = appendEvent(s.b, ev)
+			haveAccel = haveAccel || ev.Kind == EvOffloadSpan
+			if err := s.endRecord(); err != nil {
+				return err
+			}
 		}
 	}
 	if haveAccel {
-		out = append(out, metaEvent("process_name", pidAccel, 0, "accelerator"))
+		s.b = appendMeta(s.b, "process_name", pidAccel, 0, "accelerator")
 	}
 	if len(meta.Workloads) > 0 {
-		out = append(out, metaEvent("process_name", pidWorkload, 0, "workloads"))
+		s.b = appendMeta(s.b, "process_name", pidWorkload, 0, "workloads")
 		names := map[string]int{}
 		for _, span := range meta.Workloads {
 			tid, ok := names[span.Name]
 			if !ok {
 				tid = len(names) + 1
 				names[span.Name] = tid
-				out = append(out, metaEvent("thread_name", pidWorkload, tid, span.Name))
+				s.b = appendMeta(s.b, "thread_name", pidWorkload, tid, span.Name)
 			}
-			out = append(out, traceEvent{
-				Name: span.Name, Cat: "workload", Ph: "X",
-				Ts: us(span.From), Dur: durp(span.To - span.From),
-				Pid: pidWorkload, Tid: tid,
-			})
+			s.b = appendName(s.b, span.Name)
+			s.b = record{
+				cat: "workload", ph: 'X', ts: span.From, dur: span.To - span.From, hasDur: true,
+				pid: pidWorkload, tid: tid,
+			}.append(s.b)
+			if err := s.endRecord(); err != nil {
+				return err
+			}
 		}
 	}
-
-	enc := json.NewEncoder(w)
-	return enc.Encode(chromeTrace{TraceEvents: out, DisplayTimeUnit: "ns"})
+	s.b = append(s.b, "],\"displayTimeUnit\":\"ns\"}\n"...)
+	return s.flush()
 }
 
-// traceDisposition records whether a kind is rendered by convertEvent or
+// traceDisposition records whether a kind is rendered by appendEvent or
 // intentionally suppressed. The zero value means "unmapped": adding an
 // EventKind without deciding its Chrome-trace fate fails the exhaustiveness
-// test loudly instead of silently falling through convertEvent's default.
+// test loudly instead of silently falling through appendEvent's default.
 type traceDisposition uint8
 
 const (
@@ -178,141 +158,260 @@ var chromeDispositions = [numEventKinds]traceDisposition{
 	EvSLOAlert:      dispRendered,
 }
 
-// convertEvent maps one telemetry event to zero or more trace events.
-func convertEvent(ev Event) []traceEvent {
+// appendEvent appends the trace record of one telemetry event, or nothing
+// for a suppressed kind. Args keys are written in byte order, the order
+// encoding/json gives a map's keys.
+func appendEvent(b []byte, ev *Event) []byte {
 	switch ev.Kind {
 	case EvTaskComplete:
 		// Span drawn backwards from completion: At-Dur .. At on the core's
 		// thread (core tids are offset by one past the scheduler track).
-		return []traceEvent{{
-			Name: taskName(ev.Task), Cat: "task", Ph: "X",
-			Ts: us(ev.At - ev.Dur), Dur: durp(ev.Dur),
-			Pid: pidPool, Tid: int(ev.Core) + 1,
-			Args: map[string]any{"cell": ev.Cell, "slot": ev.Slot, "dag": ev.A},
-		}}
+		b = appendName(b, taskName(ev.Task))
+		return record{
+			cat: "task", ph: 'X', ts: ev.At - ev.Dur, dur: ev.Dur, hasDur: true,
+			pid: pidPool, tid: int(ev.Core) + 1,
+		}.append(b, intArg("cell", ev.Cell), intArg("dag", ev.A), intArg("slot", ev.Slot))
 	case EvOffloadSpan:
-		return []traceEvent{{
-			Name: taskName(ev.Task), Cat: "offload", Ph: "X",
-			Ts: us(ev.At), Dur: durp(ev.Dur),
-			Pid: pidAccel, Tid: int(ev.A) + 1,
-			Args: map[string]any{"codeblocks": ev.B},
-		}}
+		b = appendName(b, taskName(ev.Task))
+		return record{
+			cat: "offload", ph: 'X', ts: ev.At, dur: ev.Dur, hasDur: true,
+			pid: pidAccel, tid: int(ev.A) + 1,
+		}.append(b, intArg("codeblocks", ev.B))
 	case EvDAGRelease:
-		return []traceEvent{{
-			Name: "dag " + dirName(ev.B), Cat: "dag", Ph: "b",
-			Ts: us(ev.At), Pid: pidPool, Tid: tidSched, ID: idp(ev.A),
-			Args: map[string]any{"cell": ev.Cell, "slot": ev.Slot},
-		}}
+		b = appendDAGName(b, ev.B)
+		return record{
+			cat: "dag", ph: 'b', ts: ev.At, pid: pidPool, tid: tidSched, id: ev.A, hasID: true,
+		}.append(b, intArg("cell", ev.Cell), intArg("slot", ev.Slot))
 	case EvDAGComplete, EvDAGDrop:
-		return []traceEvent{{
-			Name: "dag " + dirName(ev.B), Cat: "dag", Ph: "e",
-			Ts: us(ev.At), Pid: pidPool, Tid: tidSched, ID: idp(ev.A),
-		}}
+		b = appendDAGName(b, ev.B)
+		return record{
+			cat: "dag", ph: 'e', ts: ev.At, pid: pidPool, tid: tidSched, id: ev.A, hasID: true,
+		}.append(b)
 	case EvDeadlineMiss:
-		return []traceEvent{{
-			Name: "deadline_miss", Cat: "deadline", Ph: "i",
-			Ts: us(ev.At), Pid: pidPool, Tid: tidSched, Scope: "p",
-			Args: map[string]any{"cell": ev.Cell, "slot": ev.Slot, "latency_us": ev.Dur.Us()},
-		}}
+		b = appendName(b, "deadline_miss")
+		return record{
+			cat: "deadline", ph: 'i', ts: ev.At, pid: pidPool, tid: tidSched, scope: 'p',
+		}.append(b, intArg("cell", ev.Cell), usArg("latency_us", ev.Dur), intArg("slot", ev.Slot))
 	case EvSchedDecision:
-		return []traceEvent{{
-			Name: "ran_cores", Ph: "C", Ts: us(ev.At), Pid: pidPool, Tid: tidSched,
-			Args: map[string]any{"target": ev.B, "owned": ev.Core},
-		}}
+		b = appendName(b, "ran_cores")
+		return record{ph: 'C', ts: ev.At, pid: pidPool, tid: tidSched}.
+			append(b, intArg("owned", ev.Core), intArg("target", ev.B))
 	case EvInterference:
-		return []traceEvent{{
-			Name: "interference", Ph: "C", Ts: us(ev.At), Pid: pidPool, Tid: tidSched,
-			Args: map[string]any{"index": float64(ev.A) / 1000},
-		}}
+		b = appendName(b, "interference")
+		return record{ph: 'C', ts: ev.At, pid: pidPool, tid: tidSched}.
+			append(b, arg{key: "index", f: float64(ev.A) / 1000, isFloat: true})
 	case EvCoreAcquire:
-		return []traceEvent{{
-			Name: "acquire", Cat: "core", Ph: "i",
-			Ts: us(ev.At), Pid: pidPool, Tid: int(ev.Core) + 1, Scope: "t",
-		}}
+		b = appendName(b, "acquire")
+		return record{
+			cat: "core", ph: 'i', ts: ev.At, pid: pidPool, tid: int(ev.Core) + 1, scope: 't',
+		}.append(b)
 	case EvCoreAwake:
-		return []traceEvent{{
-			Name: "awake", Cat: "core", Ph: "i",
-			Ts: us(ev.At), Pid: pidPool, Tid: int(ev.Core) + 1, Scope: "t",
-			Args: map[string]any{"wakeup_us": ev.Dur.Us()},
-		}}
+		b = appendName(b, "awake")
+		return record{
+			cat: "core", ph: 'i', ts: ev.At, pid: pidPool, tid: int(ev.Core) + 1, scope: 't',
+		}.append(b, usArg("wakeup_us", ev.Dur))
 	case EvCoreYield:
-		return []traceEvent{{
-			Name: "yield", Cat: "core", Ph: "i",
-			Ts: us(ev.At), Pid: pidPool, Tid: int(ev.Core) + 1, Scope: "t",
-		}}
+		b = appendName(b, "yield")
+		return record{
+			cat: "core", ph: 'i', ts: ev.At, pid: pidPool, tid: int(ev.Core) + 1, scope: 't',
+		}.append(b)
 	case EvFaultInject:
-		return []traceEvent{{
-			Name: "fault_inject", Cat: "fault", Ph: "i",
-			Ts: us(ev.At), Pid: pidPool, Tid: tidSched, Scope: "p",
-			Args: map[string]any{"class": ev.A, "cell": ev.Cell, "detail_us": ev.Dur.Us()},
-		}}
+		b = appendName(b, "fault_inject")
+		return record{
+			cat: "fault", ph: 'i', ts: ev.At, pid: pidPool, tid: tidSched, scope: 'p',
+		}.append(b, intArg("cell", ev.Cell), intArg("class", ev.A), usArg("detail_us", ev.Dur))
 	case EvFaultRecover:
-		return []traceEvent{{
-			Name: "fault_recover", Cat: "fault", Ph: "i",
-			Ts: us(ev.At), Pid: pidPool, Tid: tidSched, Scope: "p",
-			Args: map[string]any{"class": ev.A, "action": ev.B},
-		}}
+		b = appendName(b, "fault_recover")
+		return record{
+			cat: "fault", ph: 'i', ts: ev.At, pid: pidPool, tid: tidSched, scope: 'p',
+		}.append(b, intArg("action", ev.B), intArg("class", ev.A))
 	case EvCoreRotate:
-		return []traceEvent{{
-			Name: "rotate", Cat: "core", Ph: "i",
-			Ts: us(ev.At), Pid: pidPool, Tid: int(ev.Core) + 1, Scope: "t",
-			Args: map[string]any{"to": ev.A},
-		}}
+		b = appendName(b, "rotate")
+		return record{
+			cat: "core", ph: 'i', ts: ev.At, pid: pidPool, tid: int(ev.Core) + 1, scope: 't',
+		}.append(b, intArg("to", ev.A))
 	case EvCellAdmit:
-		return []traceEvent{{
-			Name: "cell_admit", Cat: "fleet", Ph: "i",
-			Ts: us(ev.At), Pid: pidPool, Tid: tidSched, Scope: "p",
-			Args: map[string]any{"cell": ev.Cell, "server": ev.A, "feasible": ev.B},
-		}}
+		b = appendName(b, "cell_admit")
+		return record{
+			cat: "fleet", ph: 'i', ts: ev.At, pid: pidPool, tid: tidSched, scope: 'p',
+		}.append(b, intArg("cell", ev.Cell), intArg("feasible", ev.B), intArg("server", ev.A))
 	case EvCellMigrate:
-		return []traceEvent{{
-			Name: "cell_migrate", Cat: "fleet", Ph: "i",
-			Ts: us(ev.At), Pid: pidPool, Tid: tidSched, Scope: "p",
-			Args: map[string]any{"cell": ev.Cell, "from": ev.A, "to": ev.B, "fronthaul_us": ev.Dur.Us()},
-		}}
+		b = appendName(b, "cell_migrate")
+		return record{
+			cat: "fleet", ph: 'i', ts: ev.At, pid: pidPool, tid: tidSched, scope: 'p',
+		}.append(b, intArg("cell", ev.Cell), intArg("from", ev.A),
+			usArg("fronthaul_us", ev.Dur), intArg("to", ev.B))
 	case EvCellReject:
-		return []traceEvent{{
-			Name: "cell_reject", Cat: "fleet", Ph: "i",
-			Ts: us(ev.At), Pid: pidPool, Tid: tidSched, Scope: "p",
-			Args: map[string]any{"cell": ev.Cell, "feasible": ev.B},
-		}}
+		b = appendName(b, "cell_reject")
+		return record{
+			cat: "fleet", ph: 'i', ts: ev.At, pid: pidPool, tid: tidSched, scope: 'p',
+		}.append(b, intArg("cell", ev.Cell), intArg("feasible", ev.B))
 	case EvSLOWindow:
 		// One counter track per slice: windowed attempts/misses plus the
 		// objective-quantile latency, sampled at each window boundary.
-		return []traceEvent{{
-			Name: "slo_slice_" + strconv.Itoa(int(ev.Task)), Ph: "C",
-			Ts: us(ev.At), Pid: pidPool, Tid: tidSched,
-			Args: map[string]any{"attempts": ev.A, "misses": ev.B, "q_latency_us": ev.Dur.Us()},
-		}}
+		b = strconv.AppendInt(append(b, `,{"name":"slo_slice_`...), int64(ev.Task), 10)
+		b = append(b, '"')
+		return record{ph: 'C', ts: ev.At, pid: pidPool, tid: tidSched}.
+			append(b, intArg("attempts", ev.A), intArg("misses", ev.B), usArg("q_latency_us", ev.Dur))
 	case EvSLOAlert:
 		name := "slo_alert_clear"
 		if ev.B == 1 {
 			name = "slo_alert_fire"
 		}
-		return []traceEvent{{
-			Name: name, Cat: "slo", Ph: "i",
-			Ts: us(ev.At), Pid: pidPool, Tid: tidSched, Scope: "p",
-			Args: map[string]any{"slice": ev.Task, "burn_milli": ev.A, "window": ev.Slot},
-		}}
+		b = appendName(b, name)
+		return record{
+			cat: "slo", ph: 'i', ts: ev.At, pid: pidPool, tid: tidSched, scope: 'p',
+		}.append(b, intArg("burn_milli", ev.A), intArg("slice", ev.Task), intArg("window", ev.Slot))
 	case EvDeviceReset:
 		name := "device_up"
 		if ev.B == 1 {
 			name = "device_down"
 		}
-		return []traceEvent{{
-			Name: name, Cat: "accel", Ph: "i",
-			Ts: us(ev.At), Pid: pidAccel, Tid: 0, Scope: "p",
-			Args: map[string]any{"device": ev.A},
-		}}
+		b = appendName(b, name)
+		return record{
+			cat: "accel", ph: 'i', ts: ev.At, pid: pidAccel, tid: 0, scope: 'p',
+		}.append(b, intArg("device", ev.A))
 	case EvReconcile:
-		return []traceEvent{{
-			Name: "reconcile", Cat: "accel", Ph: "i",
-			Ts: us(ev.At), Pid: pidAccel, Tid: 0, Scope: "p",
-			Args: map[string]any{"alive": ev.A, "devices": ev.B},
-		}}
+		b = appendName(b, "reconcile")
+		return record{
+			cat: "accel", ph: 'i', ts: ev.At, pid: pidAccel, tid: 0, scope: 'p',
+		}.append(b, intArg("alive", ev.A), intArg("devices", ev.B))
 	default:
-		// Enqueue/dispatch are metrics-level events; they would double the
-		// span count without adding viewer value.
-		return nil
+		// The suppressed kinds (see chromeDispositions) and unknown ones.
+		return b
 	}
+}
+
+// appendName opens a record: the comma after the previous record, then
+// the name field.
+func appendName(b []byte, name string) []byte {
+	return appendString(append(b, `,{"name":`...), name)
+}
+
+// appendDAGName opens a DAG lifetime record, named "dag " and the slot
+// direction.
+func appendDAGName(b []byte, dir int64) []byte {
+	b = appendStringBody(append(b, `,{"name":"dag `...), dirName(dir))
+	return append(b, '"')
+}
+
+// appendMeta appends a process_name/thread_name metadata record.
+func appendMeta(b []byte, name string, pid, tid int, value string) []byte {
+	b = record{ph: 'M', pid: pid, tid: tid}.fields(appendName(b, name))
+	b = appendString(append(b, `,"args":{"name":`...), value)
+	return append(b, "}}"...)
+}
+
+// record holds the fields of one trace-event object that follow its name.
+// An empty cat or scope is omitted, as are dur and id unless hasDur and
+// hasID are set.
+type record struct {
+	cat           string
+	ph            byte
+	ts, dur       sim.Time
+	pid, tid      int
+	id            int64
+	scope         byte
+	hasDur, hasID bool
+}
+
+// fields appends the record's fields in the format's order: cat, ph, ts,
+// dur, pid, tid, id, s.
+func (r record) fields(b []byte) []byte {
+	if r.cat != "" {
+		b = appendString(append(b, `,"cat":`...), r.cat)
+	}
+	b = append(b, `,"ph":"`...)
+	b = append(b, r.ph, '"')
+	b = appendFloat(append(b, `,"ts":`...), r.ts.Us())
+	if r.hasDur {
+		b = appendFloat(append(b, `,"dur":`...), r.dur.Us())
+	}
+	b = strconv.AppendInt(append(b, `,"pid":`...), int64(r.pid), 10)
+	b = strconv.AppendInt(append(b, `,"tid":`...), int64(r.tid), 10)
+	if r.hasID {
+		b = strconv.AppendInt(append(b, `,"id":`...), r.id, 10)
+	}
+	if r.scope != 0 {
+		b = append(b, `,"s":"`...)
+		b = append(b, r.scope, '"')
+	}
+	return b
+}
+
+// append appends the record's fields and args, then closes it. The args
+// object is omitted when there are none.
+func (r record) append(b []byte, args ...arg) []byte {
+	b = r.fields(b)
+	for i, a := range args {
+		if i == 0 {
+			b = append(b, `,"args":{"`...)
+		} else {
+			b = append(b, `,"`...)
+		}
+		b = append(b, a.key...)
+		b = append(b, `":`...)
+		if a.isFloat {
+			b = appendFloat(b, a.f)
+		} else {
+			b = strconv.AppendInt(b, a.i, 10)
+		}
+	}
+	if len(args) > 0 {
+		b = append(b, '}')
+	}
+	return append(b, '}')
+}
+
+// arg is one entry of a record's args object: an integer, or a float when
+// isFloat is set. Keys are plain ASCII and written unescaped.
+type arg struct {
+	key     string
+	i       int64
+	f       float64
+	isFloat bool
+}
+
+func intArg[T int32 | int64](key string, v T) arg { return arg{key: key, i: int64(v)} }
+
+// usArg is a duration or time argument in microseconds.
+func usArg(key string, t sim.Time) arg { return arg{key: key, f: t.Us(), isFloat: true} }
+
+// appendFloat appends v as encoding/json writes a float64: the shortest
+// decimal that parses back to v, in 'f' form, or in 'e' form below 1e-6 and
+// from 1e21 on, with a one-digit negative exponent left unpadded (e-7, not
+// e-07). This is not the CSV exporters' format (see appendCSVFloat). v is
+// always finite here: every value is a whole number of nanoseconds, or of
+// milli-units, divided by 1000.
+func appendFloat(b []byte, v float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(v); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, v, format, -1, 64)
+	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b
+}
+
+// appendString appends s as a quoted JSON string, escaped as encoding/json
+// escapes it.
+func appendString(b []byte, s string) []byte {
+	return append(appendStringBody(append(b, '"'), s), '"')
+}
+
+// appendStringBody appends s's escaped JSON form without the quotes. The
+// names a trace carries are plain ASCII and copy through as they are; a
+// string with any other byte takes encoding/json's own escaping (HTML-safe
+// '<', '>' and '&', U+2028 and U+2029, control bytes, invalid UTF-8).
+func appendStringBody(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			quoted, _ := json.Marshal(s) // a string always marshals
+			return append(b, quoted[1:len(quoted)-1]...)
+		}
+	}
+	return append(b, s...)
 }

@@ -8,15 +8,18 @@ import (
 	"math"
 	"sort"
 	"strconv"
+	"strings"
 
 	"concordia/internal/sim"
 )
 
-// formatFloat renders v with the shortest round-trip representation, the
-// same formatting encoding/json uses, so CSV and JSON exports of the same
-// value agree byte-for-byte.
-func formatFloat(v float64) string {
-	return strconv.FormatFloat(v, 'g', -1, 64)
+// appendCSVFloat appends v in the shortest form that parses back to v,
+// strconv's 'g' format: exponent form below 1e-4 and from 1e6 on, so
+// 1000500 is written 1.0005e+06. The Chrome trace writes floats as
+// encoding/json does (appendFloat), where that value is 1000500; the two
+// exports do not agree byte for byte.
+func appendCSVFloat(b []byte, v float64) []byte {
+	return strconv.AppendFloat(b, v, 'g', -1, 64)
 }
 
 // WriteMetricsCSV exports the registry's sampled time series as CSV: a
@@ -45,11 +48,11 @@ func (r *Registry) WriteMetricsCSV(w io.Writer) error {
 	}
 	bw.WriteByte('\n')
 	r.sampleOrder(func(row *sampleRow) {
-		bw.WriteString(formatFloat(row.at.Us()))
+		bw.Write(appendCSVFloat(bw.AvailableBuffer(), row.at.Us()))
 		for _, name := range names {
 			bw.WriteByte(',')
 			if v, ok := row.vals[name]; ok {
-				bw.WriteString(formatFloat(v))
+				bw.Write(appendCSVFloat(bw.AvailableBuffer(), v))
 			}
 		}
 		bw.WriteByte('\n')
@@ -57,62 +60,71 @@ func (r *Registry) WriteMetricsCSV(w io.Writer) error {
 	return bw.Flush()
 }
 
+// eventsCSVHeader names the columns of the events CSV. ReadEventsCSV
+// requires it exactly: its columns are read by position.
+const eventsCSVHeader = "time_us,kind,core,cell,slot,task,dur_us,a,b"
+
+var eventsCSVColumns = strings.Split(eventsCSVHeader, ",")
+
 // WriteEventsCSV exports the tracer's retained events as CSV
-// (time_us,kind,core,cell,slot,task,dur_us,a,b) in emission order.
+// (time_us,kind,core,cell,slot,task,dur_us,a,b) in emission order. Like
+// WriteChromeTrace it walks the ring in place and streams its rows through
+// one fixed buffer.
 func (t *Tracer) WriteEventsCSV(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	bw.WriteString("time_us,kind,core,cell,slot,task,dur_us,a,b\n")
-	for _, ev := range t.Events() {
-		bw.WriteString(formatFloat(ev.At.Us()))
-		bw.WriteByte(',')
-		bw.WriteString(ev.Kind.String())
-		bw.WriteByte(',')
-		bw.WriteString(strconv.FormatInt(int64(ev.Core), 10))
-		bw.WriteByte(',')
-		bw.WriteString(strconv.FormatInt(int64(ev.Cell), 10))
-		bw.WriteByte(',')
-		bw.WriteString(strconv.FormatInt(int64(ev.Slot), 10))
-		bw.WriteByte(',')
-		bw.WriteString(strconv.FormatInt(int64(ev.Task), 10))
-		bw.WriteByte(',')
-		bw.WriteString(formatFloat(ev.Dur.Us()))
-		bw.WriteByte(',')
-		bw.WriteString(strconv.FormatInt(ev.A, 10))
-		bw.WriteByte(',')
-		bw.WriteString(strconv.FormatInt(ev.B, 10))
-		bw.WriteByte('\n')
+	s := newStream(w)
+	s.b = append(s.b, eventsCSVHeader+"\n"...)
+	older, newer := t.ring()
+	for _, events := range [2][]Event{older, newer} {
+		for i := range events {
+			s.b = appendEventCSV(s.b, &events[i])
+			if err := s.endRecord(); err != nil {
+				return err
+			}
+		}
 	}
-	return bw.Flush()
+	return s.flush()
 }
+
+// appendEventCSV appends one events-CSV row.
+func appendEventCSV(b []byte, ev *Event) []byte {
+	b = append(appendCSVFloat(b, ev.At.Us()), ',')
+	b = append(append(b, ev.Kind.String()...), ',')
+	b = append(strconv.AppendInt(b, int64(ev.Core), 10), ',')
+	b = append(strconv.AppendInt(b, int64(ev.Cell), 10), ',')
+	b = append(strconv.AppendInt(b, int64(ev.Slot), 10), ',')
+	b = append(strconv.AppendInt(b, int64(ev.Task), 10), ',')
+	b = append(appendCSVFloat(b, ev.Dur.Us()), ',')
+	b = append(strconv.AppendInt(b, ev.A, 10), ',')
+	return append(strconv.AppendInt(b, ev.B, 10), '\n')
+}
+
+// maxCSVTime bounds the times ReadEventsCSV accepts: ±2^51 ns, about 26
+// simulated days. Within it a whole-nanosecond time survives the trip
+// through its shortest float64 microsecond form and back; from 2^51 ns on,
+// round(us*1000) can land a nanosecond off, and past ±2^63 ns the
+// conversion to sim.Time has no defined result.
+const maxCSVTime = 1 << 51
 
 // ReadEventsCSV parses the WriteEventsCSV format back into events, so a
 // trace captured by one binary can be autopsied by another. Timestamps
 // round-trip exactly: WriteEventsCSV emits shortest-round-trip floats of
-// whole-nanosecond times, so round(us*1000) recovers the original ns.
+// whole-nanosecond times, so round(us*1000) recovers the original ns for
+// every time within ±2^51 ns. A time that is not finite or lies outside
+// that range is an error naming its line and column, as is any other field
+// that does not parse.
 func ReadEventsCSV(r io.Reader) ([]Event, error) {
 	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = 9
+	cr.FieldsPerRecord = len(eventsCSVColumns)
 	cr.ReuseRecord = true
 	header, err := cr.Read()
 	if err != nil {
 		return nil, fmt.Errorf("events csv: %w", err)
 	}
-	if header[0] != "time_us" || header[1] != "kind" {
+	if strings.Join(header, ",") != eventsCSVHeader {
 		return nil, fmt.Errorf("events csv: unrecognised header %q", header)
 	}
-	usToTime := func(s string) (sim.Time, error) {
-		v, err := strconv.ParseFloat(s, 64)
-		if err != nil {
-			return 0, err
-		}
-		return sim.Time(math.Round(v * 1000)), nil
-	}
-	i32 := func(s string) (int32, error) {
-		v, err := strconv.ParseInt(s, 10, 32)
-		return int32(v), err
-	}
 	var out []Event
-	for line := 2; ; line++ {
+	for {
 		rec, err := cr.Read()
 		if err == io.EOF {
 			return out, nil
@@ -120,35 +132,52 @@ func ReadEventsCSV(r io.Reader) ([]Event, error) {
 		if err != nil {
 			return nil, fmt.Errorf("events csv: %w", err)
 		}
-		var ev Event
-		var ok bool
-		if ev.Kind, ok = ParseEventKind(rec[1]); !ok {
-			return nil, fmt.Errorf("events csv line %d: unknown kind %q", line, rec[1])
-		}
-		if ev.At, err = usToTime(rec[0]); err == nil {
-			ev.Core, err = i32(rec[2])
-		}
-		if err == nil {
-			ev.Cell, err = i32(rec[3])
-		}
-		if err == nil {
-			ev.Slot, err = i32(rec[4])
-		}
-		if err == nil {
-			ev.Task, err = i32(rec[5])
-		}
-		if err == nil {
-			ev.Dur, err = usToTime(rec[6])
-		}
-		if err == nil {
-			ev.A, err = strconv.ParseInt(rec[7], 10, 64)
-		}
-		if err == nil {
-			ev.B, err = strconv.ParseInt(rec[8], 10, 64)
-		}
+		ev, col, err := parseEventRow(rec)
 		if err != nil {
-			return nil, fmt.Errorf("events csv line %d: %w", line, err)
+			line, _ := cr.FieldPos(col)
+			return nil, fmt.Errorf("events csv line %d: %s: %w", line, eventsCSVColumns[col], err)
 		}
 		out = append(out, ev)
 	}
+}
+
+// parseEventRow decodes one events-CSV row; on failure it also returns the
+// column at fault.
+func parseEventRow(rec []string) (ev Event, col int, err error) {
+	if ev.At, err = parseCSVTime(rec[0]); err != nil {
+		return ev, 0, err
+	}
+	var ok bool
+	if ev.Kind, ok = ParseEventKind(rec[1]); !ok {
+		return ev, 1, fmt.Errorf("unknown kind %q", rec[1])
+	}
+	for i, dst := range [...]*int32{&ev.Core, &ev.Cell, &ev.Slot, &ev.Task} {
+		v, err := strconv.ParseInt(rec[2+i], 10, 32)
+		if err != nil {
+			return ev, 2 + i, err
+		}
+		*dst = int32(v)
+	}
+	if ev.Dur, err = parseCSVTime(rec[6]); err != nil {
+		return ev, 6, err
+	}
+	for i, dst := range [...]*int64{&ev.A, &ev.B} {
+		if *dst, err = strconv.ParseInt(rec[7+i], 10, 64); err != nil {
+			return ev, 7 + i, err
+		}
+	}
+	return ev, 0, nil
+}
+
+// parseCSVTime reads a time in microseconds as whole nanoseconds.
+func parseCSVTime(s string) (sim.Time, error) {
+	us, err := strconv.ParseFloat(s, 64)
+	if err != nil {
+		return 0, err
+	}
+	ns := math.Round(us * 1000)
+	if !(math.Abs(ns) <= maxCSVTime) { // also false for NaN
+		return 0, fmt.Errorf("%q is not a finite time within +-2^51 ns", s)
+	}
+	return sim.Time(ns), nil
 }

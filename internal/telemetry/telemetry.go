@@ -198,8 +198,8 @@ type Tracer struct {
 }
 
 // DefaultTraceCapacity bounds the ring when Options does not: 2^18 events
-// (~16 MiB at 64 bytes each), roughly 40 simulated seconds of a 7-cell
-// 20 MHz pool's task-level stream.
+// (~14 MiB at 56 bytes each), roughly the last 0.8 simulated seconds of a
+// 7-cell 20 MHz pool's task-level stream.
 const DefaultTraceCapacity = 1 << 18
 
 // NewTracer returns a tracer with the given ring capacity (<=0 selects
@@ -243,21 +243,32 @@ func (t *Tracer) Dropped() uint64 {
 	return t.dropped
 }
 
-// Events returns the retained events in emission order (oldest first). The
-// simulation emits in virtual-time order with one exception: offload spans
-// are recorded at submission with a future device start time, so their At
-// may exceed a neighbour's by the queueing delay.
+// Events returns a copy of the retained events in emission order (oldest
+// first). The simulation emits in virtual-time order with one exception:
+// offload spans are recorded at submission with a future device start time,
+// so their At may exceed a neighbour's by the queueing delay.
 func (t *Tracer) Events() []Event {
-	if t == nil {
+	older, newer := t.ring()
+	if len(older)+len(newer) == 0 {
 		return nil
 	}
-	if !t.full {
-		return append([]Event(nil), t.buf...)
+	out := make([]Event, 0, len(older)+len(newer))
+	out = append(out, older...)
+	return append(out, newer...)
+}
+
+// ring returns the retained events in place, in emission order: every event
+// of older, then every event of newer. The exporters walk it without
+// copying; the slices alias the ring, so they are valid only until the next
+// Emit.
+func (t *Tracer) ring() (older, newer []Event) {
+	if t == nil {
+		return nil, nil
 	}
-	out := make([]Event, 0, len(t.buf))
-	out = append(out, t.buf[t.next:]...)
-	out = append(out, t.buf[:t.next]...)
-	return out
+	if !t.full {
+		return t.buf, nil
+	}
+	return t.buf[t.next:], t.buf[:t.next]
 }
 
 // Options configures a Recorder.

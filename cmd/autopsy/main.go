@@ -32,8 +32,8 @@ import (
 func main() {
 	eventsPath := flag.String("events", "", "events CSV captured with `concordia-sim -events` (empty = run a scenario inline)")
 	seed := flag.Uint64("seed", 42, "deterministic seed (inline scenario)")
-	scale := flag.Float64("scale", 0.25, "duration scale (inline scenario)")
-	training := flag.Int("training", 0, "offline profiling TTIs (0 = default)")
+	scale := cli.Scale(flag.CommandLine, 0.25, experiments.LongestBase, "duration scale `factor` (inline scenario)")
+	training := cli.Training(flag.CommandLine)
 	workers := cli.Workers(flag.CommandLine)
 	faultsSpec := flag.String("faults", "", "fault spec for an inline chaos run (empty = canonical collocation scenario)")
 	poolCores := flag.Int("pool-cores", 0, "pool core count for attribution (0 = infer from the trace)")

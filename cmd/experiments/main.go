@@ -42,8 +42,8 @@ func writeCSV(dir, name string, res fmt.Stringer) error {
 
 func main() {
 	seed := flag.Uint64("seed", 42, "deterministic seed")
-	scale := flag.Float64("scale", 0.25, "duration scale (1.0 = full experiment quality)")
-	training := flag.Int("training", 0, "offline profiling TTIs (0 = default)")
+	scale := cli.Scale(flag.CommandLine, 0.25, experiments.LongestBase, "duration scale `factor` (1.0 = full experiment quality)")
+	training := cli.Training(flag.CommandLine)
 	workers := cli.Workers(flag.CommandLine)
 	list := flag.Bool("list", false, "list experiment names and exit")
 	csvDir := flag.String("csv", "", "also write raw data series as <dir>/<name>.csv where supported")

@@ -1,7 +1,7 @@
 // Package cli declares the command-line flags that several binaries share
-// (-workers, the SLO plane's four flags, -cpuprofile and -memprofile) and
-// the export and exit helpers their mains use, so each shared flag has one
-// name, one help text and one validation.
+// (-workers, -scale, -training, the SLO plane's four flags, -cpuprofile and
+// -memprofile) and the export and exit helpers their mains use, so each
+// shared flag has one name, one help text and one validation.
 //
 // Numeric flags are checked when they are parsed: a value that would be
 // silently replaced by a default, or that does not fit its simulated
@@ -58,6 +58,23 @@ func Workers(fs *flag.FlagSet) *int {
 func Seconds(fs *flag.FlagSet, name string, value float64, usage string) *float64 {
 	v := value
 	fs.Var(&checkedFloat{&v, func(s float64) error { return positiveTime(s, sim.Second) }}, name, usage)
+	return &v
+}
+
+// Scale declares -scale, a factor on simulated durations that must be
+// positive and small enough that longest, the longest duration it scales,
+// still fits in a sim.Time.
+func Scale(fs *flag.FlagSet, value float64, longest sim.Time, usage string) *float64 {
+	v := value
+	fs.Var(&checkedFloat{&v, func(s float64) error { return positiveTime(s, longest) }}, "scale", usage)
+	return &v
+}
+
+// Training declares -training, the offline profiling length in TTIs. 0
+// selects the default; a negative count is refused.
+func Training(fs *flag.FlagSet) *int {
+	var v int
+	fs.Var((*nonNegativeInt)(&v), "training", "offline profiling `TTIs` (0 = default)")
 	return &v
 }
 
@@ -171,6 +188,33 @@ func (f *checkedFloat) Set(s string) error {
 		return err
 	}
 	*f.v = v
+	return nil
+}
+
+// nonNegativeInt is an int flag that refuses negative values.
+type nonNegativeInt int
+
+func (n *nonNegativeInt) String() string {
+	if n == nil {
+		return "0"
+	}
+	return strconv.Itoa(int(*n))
+}
+
+// Set parses s as flag.Int does, with the same parse errors, then refuses a
+// negative value.
+func (n *nonNegativeInt) Set(s string) error {
+	v, err := strconv.ParseInt(s, 0, strconv.IntSize)
+	if errors.Is(err, strconv.ErrRange) {
+		return errors.New("value out of range")
+	}
+	if err != nil {
+		return errors.New("parse error")
+	}
+	if v < 0 {
+		return errors.New("must not be negative")
+	}
+	*n = nonNegativeInt(v)
 	return nil
 }
 

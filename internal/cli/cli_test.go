@@ -13,12 +13,15 @@ import (
 	"concordia/internal/slo"
 )
 
-// newFlagSet returns a flag set with the shared SLO flags and a -duration
-// declared, reporting parse errors instead of exiting.
+// newFlagSet returns a flag set with the shared SLO flags, -scale,
+// -training and a -duration declared, reporting parse errors instead of
+// exiting. -scale scales at most an hour, as the experiments do.
 func newFlagSet() (*flag.FlagSet, *SLO) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
 	Seconds(fs, "duration", 60, "simulated `seconds`")
+	Scale(fs, 0.25, 3600*sim.Second, "duration scale `factor`")
+	Training(fs)
 	return fs, BindSLO(fs)
 }
 
@@ -59,6 +62,23 @@ func TestNumericFlagsRejectOutOfRange(t *testing.T) {
 		{"duration", "0.3", true},
 		{"duration", "1e-9", true},
 		{"duration", "9e9", true},
+		{"scale", "NaN", false},
+		{"scale", "Inf", false},
+		{"scale", "-Inf", false},
+		{"scale", "-1", false},
+		{"scale", "0", false},
+		{"scale", "1e300", false},
+		{"scale", "3e6", false},
+		{"scale", "1e-5", true},
+		{"scale", "0.02", true},
+		{"scale", "1", true},
+		{"scale", "2e6", true},
+		{"training", "-5", false},
+		{"training", "-1", false},
+		{"training", "1e3", false},
+		{"training", "99999999999999999999", false},
+		{"training", "0", true},
+		{"training", "500", true},
 	} {
 		fs, _ := newFlagSet()
 		err := fs.Parse([]string{"-" + tc.flag, tc.value})
@@ -67,6 +87,27 @@ func TestNumericFlagsRejectOutOfRange(t *testing.T) {
 		}
 		if !tc.ok && (err == nil || !strings.Contains(err.Error(), "-"+tc.flag)) {
 			t.Errorf("-%s %s: got error %v, want one naming the flag", tc.flag, tc.value, err)
+		}
+	}
+}
+
+func TestScaleAndTrainingValues(t *testing.T) {
+	for _, tc := range []struct {
+		args     []string
+		scale    float64
+		training int
+	}{
+		{nil, 0.25, 0},
+		{[]string{"-scale", "0.5", "-training", "700"}, 0.5, 700},
+	} {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		scale := Scale(fs, 0.25, sim.Second, "")
+		training := Training(fs)
+		if err := fs.Parse(tc.args); err != nil {
+			t.Fatal(err)
+		}
+		if *scale != tc.scale || *training != tc.training {
+			t.Errorf("%v: scale %v, training %d; want %v, %d", tc.args, *scale, *training, tc.scale, tc.training)
 		}
 	}
 }

@@ -60,13 +60,23 @@ func TestUnknownScheduler(t *testing.T) {
 	}
 }
 
+// A zero or negative cell count leaves the presets with no cells, which
+// NewSystem and MinimumCores reject with an error rather than a panic.
 func TestNoCellsRejected(t *testing.T) {
-	cfg := Scenario20MHz(0, 4)
-	if _, err := NewSystem(cfg); err == nil {
-		t.Error("NewSystem accepted a config with no cells")
-	}
-	if _, err := MinimumCores(cfg, 4, 0.999, sim.FromMs(10)); err == nil {
-		t.Error("MinimumCores accepted a config with no cells")
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"20MHz/0", Scenario20MHz(0, 4)},
+		{"20MHz/-1", Scenario20MHz(-1, 4)},
+		{"100MHz/-1", Scenario100MHz(-1, 4)},
+	} {
+		if _, err := NewSystem(tc.cfg); err == nil {
+			t.Errorf("%s: NewSystem accepted a config with no cells", tc.name)
+		}
+		if _, err := MinimumCores(tc.cfg, 4, 0.999, sim.FromMs(10)); err == nil {
+			t.Errorf("%s: MinimumCores accepted a config with no cells", tc.name)
+		}
 	}
 }
 

@@ -47,6 +47,11 @@ func DefaultOptions() Options { return Options{Seed: 42, Scale: 1.0} }
 // whole suite fits Go's default 10-minute package timeout on one core.
 func Quick() Options { return Options{Seed: 42, Scale: 0.025, TrainingSlots: 500} }
 
+// LongestBase is the longest simulated duration an experiment scales by
+// Options.Scale (fig3's hour of traffic): a -scale at which it overflows a
+// sim.Time is refused when the flag is parsed.
+const LongestBase = 3600 * sim.Second
+
 func (o Options) dur(base sim.Time) sim.Time {
 	if o.Scale <= 0 {
 		return base

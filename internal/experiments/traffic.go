@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"concordia/internal/rng"
-	"concordia/internal/sim"
 	"concordia/internal/stats"
 	"concordia/internal/traffic"
 )
@@ -27,7 +26,7 @@ type Fig3Result struct {
 // RunFig3Traffic generates the LTE-statistics trace and measures the Fig 3
 // quantities.
 func RunFig3Traffic(o Options) (*Fig3Result, error) {
-	slots := int(o.dur(3600 * sim.Second).Ms()) // 1 ms TTIs
+	slots := int(o.dur(LongestBase).Ms()) // an hour of 1 ms TTIs
 	tr, err := traffic.GenerateTrace(traffic.LTEReference(3, o.Seed), slots)
 	if err != nil {
 		return nil, err

@@ -111,7 +111,7 @@ func (c Config) validate() error {
 	if c.Cells <= 0 || c.Servers <= 0 {
 		return errors.New("fleet: need at least one cell and one server")
 	}
-	if c.Load <= 0 || c.Load > 1 {
+	if !(c.Load > 0 && c.Load <= 1) { // NaN fails too
 		return errors.New("fleet: load must be in (0, 1]")
 	}
 	if c.Epochs < 1 {

@@ -167,6 +167,18 @@ func TestStaticNeverMigrates(t *testing.T) {
 	}
 }
 
+// A load outside (0, 1], NaN included, is a config error, not a run with
+// no traffic.
+func TestBadLoadRejected(t *testing.T) {
+	for _, load := range []float64{-0.1, 1.5, math.NaN()} {
+		cfg := testConfig()
+		cfg.Load = load
+		if _, err := Run(cfg); err == nil {
+			t.Errorf("load %v accepted", load)
+		}
+	}
+}
+
 // Every cell out of fronthaul range of every server is an admission error,
 // not a silent empty run.
 func TestAllCellsOutOfBudget(t *testing.T) {

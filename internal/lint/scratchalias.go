@@ -10,13 +10,13 @@ import (
 )
 
 // ScratchAlias enforces the scratch-reuse builder contract from DESIGN.md
-// §5f: the return value of a *Into/*Append builder (DemodulateLLRInto,
-// DematchInto, ofdm.DemodulateAppend, ...) aliases the caller-provided
-// scratch buffer and is valid only until the next builder call on that same
-// buffer. Two things break that contract: retaining the result somewhere
-// long-lived (the next call silently rewrites it underneath the holder),
-// and reading a previous result after a second call reused the backing
-// array. The sanctioned idiom — storing the possibly-grown slice back into
+// §5f: the return value of a *Into/*Append builder (ran.BuildUplinkDAGInto,
+// ran.BuildDownlinkDAGInto, ...) aliases the caller-provided scratch buffer
+// and is valid only until the next builder call on that same buffer. Two
+// things break that contract: retaining the result somewhere long-lived
+// (the next call silently rewrites it underneath the holder), and reading a
+// previous result after a second call reused the backing array. The
+// sanctioned idiom — storing the possibly-grown slice back into
 // the receiver's own scratch field (t.rxLLR = llr) — is exempt.
 var ScratchAlias = &analysis.Analyzer{
 	Name: "scratchalias",

@@ -1,6 +1,6 @@
 // Package scratchalias is a fixture for the scratchalias analyzer: codec
 // carries *Into/*Append builder methods that hand back a view of the scratch
-// buffer passed in, like the phy-layer DemodulateLLRInto/DematchInto chain.
+// buffer passed in, like the ran package's BuildUplinkDAGInto.
 package scratchalias
 
 type codec struct {

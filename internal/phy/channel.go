@@ -28,47 +28,3 @@ func (c *AWGNChannel) Transmit(symbols []complex128) []complex128 {
 	}
 	return out
 }
-
-// RayleighBlockFading models a flat block-fading MIMO channel: a single
-// complex Gaussian channel matrix per block of symbols.
-type RayleighBlockFading struct {
-	RxAnt, TxAnt int
-	NoiseVar     float64
-	rand         *rng.Rand
-}
-
-// NewRayleighBlockFading returns a fading channel with the given antenna
-// configuration and per-receive-antenna SNR in dB.
-func NewRayleighBlockFading(rxAnt, txAnt int, snrDB float64, r *rng.Rand) *RayleighBlockFading {
-	return &RayleighBlockFading{
-		RxAnt:    rxAnt,
-		TxAnt:    txAnt,
-		NoiseVar: math.Pow(10, -snrDB/10),
-		rand:     r,
-	}
-}
-
-// Draw samples a fresh channel matrix with i.i.d. CN(0,1) entries.
-func (c *RayleighBlockFading) Draw() *CMat {
-	h := NewCMat(c.RxAnt, c.TxAnt)
-	s := math.Sqrt(0.5)
-	for i := range h.Data {
-		h.Data[i] = complex(c.rand.Normal(0, s), c.rand.Normal(0, s))
-	}
-	return h
-}
-
-// Transmit applies y = H·x + n per symbol vector. x[i] must have TxAnt
-// entries; the result has RxAnt entries per symbol.
-func (c *RayleighBlockFading) Transmit(h *CMat, x [][]complex128) [][]complex128 {
-	out := make([][]complex128, len(x))
-	sigma := math.Sqrt(c.NoiseVar / 2)
-	for i, xi := range x {
-		y := h.MulVec(xi)
-		for j := range y {
-			y[j] += complex(c.rand.Normal(0, sigma), c.rand.Normal(0, sigma))
-		}
-		out[i] = y
-	}
-	return out
-}

@@ -1,16 +1,3 @@
-// Package phy implements the 5G physical-layer signal processing substrate:
-// CRC attachment, LDPC-family channel coding (an accumulator-based
-// quasi-cyclic construction with normalized min-sum decoding), polar coding
-// for control channels, codeblock segmentation and rate matching, QAM
-// modulation with soft demodulation, channel estimation, MMSE equalization
-// and zero-forcing precoding.
-//
-// The package operates on real bits and real complex baseband samples; the
-// simulator's cost models are calibrated against the genuine input-size and
-// SNR scaling these implementations exhibit. Exact 3GPP bit mappings (38.212
-// base graphs, interleavers) are replaced with seeded constructions of the
-// same shape — a substitution documented in DESIGN.md that preserves the
-// runtime structure the paper's scheduler depends on.
 package phy
 
 // CRC polynomials from 3GPP TS 38.212 §5.1 (normal representation, MSB

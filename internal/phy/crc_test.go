@@ -7,14 +7,6 @@ import (
 	"concordia/internal/rng"
 )
 
-func randomBits(r *rng.Rand, n int) []byte {
-	out := make([]byte, n)
-	for i := range out {
-		out[i] = byte(r.Intn(2))
-	}
-	return out
-}
-
 func TestCRCRoundTrip(t *testing.T) {
 	r := rng.New(1)
 	for _, c := range []*CRC{NewCRC24A(), NewCRC24B(), NewCRC16()} {

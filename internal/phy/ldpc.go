@@ -1,7 +1,21 @@
+// Package phy holds the physical-layer code the simulator calls: an
+// LDPC-family channel code (an accumulator-based quasi-cyclic construction
+// with normalized min-sum decoding) and an AWGN channel, which the
+// calibration experiment times to check the cost model's shape, and the QAM
+// modulation orders and codeblock segmentation the RAN model sizes
+// transport blocks with. The bit-level transport-block path around the
+// LDPC code — CRC attachment, SegmentBits/Reassemble and circular-buffer
+// rate matching — stays with its tests; no workload runs it yet.
+//
+// The decoder operates on real bits and real baseband samples; the
+// simulator's cost model is calibrated against the genuine codeblock-count
+// and SNR scaling it exhibits. The 38.212 base graphs are replaced with a
+// seeded construction of the same shape — a substitution documented in
+// DESIGN.md that preserves the runtime structure the paper's scheduler
+// depends on.
 package phy
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -188,10 +202,9 @@ type DecodeResult struct {
 //
 // Decode borrows per-call working state from an internal pool while reading
 // only the immutable Tanner graph, so concurrent Decode calls on a single
-// LDPCCode value are safe — this is what lets a transceiver decode a
-// transport block's codeblocks in parallel. The result is a pure function
-// of the LLRs: the worker that performs the decode never changes the bits
-// or iteration count.
+// LDPCCode value are safe. The result is a pure function of the LLRs: the
+// goroutine that performs the decode never changes the bits or iteration
+// count.
 func (c *LDPCCode) Decode(llr []float64) (*DecodeResult, error) {
 	res := new(DecodeResult)
 	if err := c.DecodeInto(res, llr); err != nil {
@@ -290,10 +303,6 @@ func (c *LDPCCode) DecodeInto(res *DecodeResult, llr []float64) error {
 	res.Converged = false
 	return nil
 }
-
-// ErrBlockTooLarge is returned when a requested codeblock exceeds the 38.212
-// maximum information block size.
-var ErrBlockTooLarge = errors.New("phy: codeblock exceeds 8448-bit LDPC limit")
 
 // MaxCodeblockBits mirrors the 38.212 base-graph-1 limit of 8448 information
 // bits per LDPC codeblock.

@@ -1,6 +1,7 @@
 package phy
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -68,7 +69,16 @@ func TestLDPCSyndromeRejectsCorruption(t *testing.T) {
 	}
 }
 
-// bitsToLLR converts a codeword to strong LLRs with optional noise.
+func randomBits(r *rng.Rand, n int) []byte {
+	out := make([]byte, n)
+	for i := range out {
+		out[i] = byte(r.Intn(2))
+	}
+	return out
+}
+
+// codewordLLR sends a codeword as BPSK over AWGN at snrDB and returns the
+// channel LLRs.
 func codewordLLR(cw []byte, snrDB float64, r *rng.Rand) []float64 {
 	// BPSK over AWGN: x = 1-2b, y = x + n, llr = 2y/sigma^2
 	ch := NewAWGNChannel(snrDB, r)
@@ -82,6 +92,21 @@ func codewordLLR(cw []byte, snrDB float64, r *rng.Rand) []float64 {
 		llr[i] = 2 * real(y) / ch.NoiseVar
 	}
 	return llr
+}
+
+func TestAWGNNoiseVariance(t *testing.T) {
+	r := rng.New(8)
+	ch := NewAWGNChannel(10, r)
+	zeros := make([]complex128, 100000)
+	noisy := ch.Transmit(zeros)
+	var p float64
+	for _, s := range noisy {
+		p += real(s)*real(s) + imag(s)*imag(s)
+	}
+	p /= float64(len(noisy))
+	if math.Abs(p-ch.NoiseVar)/ch.NoiseVar > 0.05 {
+		t.Fatalf("measured noise power %v want %v", p, ch.NoiseVar)
+	}
 }
 
 func TestLDPCDecodeNoiseless(t *testing.T) {

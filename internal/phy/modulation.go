@@ -1,9 +1,6 @@
 package phy
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Modulation identifies a QAM constellation by bits per symbol.
 type Modulation int
@@ -42,146 +39,4 @@ func (m Modulation) Valid() bool {
 		return true
 	}
 	return false
-}
-
-// pamLevels returns the per-dimension Gray-coded PAM amplitude for the given
-// bit group, plus the normalization factor for unit average symbol energy.
-func (m Modulation) pamParams() (levels int, norm float64) {
-	perDim := m.BitsPerSymbol() / 2
-	levels = 1 << perDim
-	// Average energy of {±1, ±3, ..., ±(levels-1)} per dimension is
-	// (levels^2 - 1)/3; two dimensions double it.
-	norm = math.Sqrt(2 * (float64(levels*levels) - 1) / 3)
-	return
-}
-
-// grayPAM maps Gray-coded bits to a PAM amplitude in {±1, ±3, ...}.
-func grayPAM(bits []byte) float64 {
-	// Convert Gray code to binary index.
-	idx := 0
-	acc := byte(0)
-	for _, b := range bits {
-		acc ^= b & 1
-		idx = idx<<1 | int(acc)
-	}
-	levels := 1 << len(bits)
-	return float64(2*idx - levels + 1)
-}
-
-// Modulate maps a bit slice to unit-average-energy complex symbols. The bit
-// count must be a multiple of BitsPerSymbol.
-func (m Modulation) Modulate(bits []byte) ([]complex128, error) {
-	if !m.Valid() {
-		return nil, fmt.Errorf("phy: invalid modulation %d", int(m))
-	}
-	bps := m.BitsPerSymbol()
-	if len(bits)%bps != 0 {
-		return nil, fmt.Errorf("phy: %d bits not a multiple of %d", len(bits), bps)
-	}
-	_, norm := m.pamParams()
-	perDim := bps / 2
-	out := make([]complex128, len(bits)/bps)
-	for s := range out {
-		g := bits[s*bps : (s+1)*bps]
-		i := grayPAM(g[:perDim])
-		q := grayPAM(g[perDim:])
-		out[s] = complex(i/norm, q/norm)
-	}
-	return out, nil
-}
-
-// llrTable caches the per-dimension constellation geometry DemodulateLLR
-// needs — PAM amplitudes and Gray-coded bit labels per level. Built once per
-// supported modulation at package init and read-only afterwards, so the
-// demodulation hot path allocates nothing.
-type llrTable struct {
-	amp  []float64
-	bits [][]byte
-}
-
-var llrTables [QAM256 + 1]*llrTable
-
-func init() {
-	for _, m := range []Modulation{QPSK, QAM16, QAM64, QAM256} {
-		perDim := m.BitsPerSymbol() / 2
-		levels, norm := m.pamParams()
-		t := &llrTable{amp: make([]float64, levels), bits: make([][]byte, levels)}
-		for idx := 0; idx < levels; idx++ {
-			// binary index -> Gray bits
-			g := idx ^ (idx >> 1)
-			bs := make([]byte, perDim)
-			for b := 0; b < perDim; b++ {
-				bs[b] = byte((g >> (perDim - 1 - b)) & 1)
-			}
-			t.amp[idx] = float64(2*idx-levels+1) / norm
-			t.bits[idx] = bs
-		}
-		llrTables[m] = t
-	}
-}
-
-// DemodulateLLR computes per-bit max-log-MAP LLRs for received symbols under
-// AWGN with the given noise variance (per complex dimension). Positive LLR
-// means bit 0 is more likely.
-func (m Modulation) DemodulateLLR(symbols []complex128, noiseVar float64) ([]float64, error) {
-	return m.DemodulateLLRInto(nil, symbols, noiseVar)
-}
-
-// DemodulateLLRInto is DemodulateLLR writing into dst's storage: dst's
-// capacity is reused when it suffices, so steady-state demodulation of
-// same-size grids allocates nothing.
-func (m Modulation) DemodulateLLRInto(dst []float64, symbols []complex128, noiseVar float64) ([]float64, error) {
-	if !m.Valid() {
-		return nil, fmt.Errorf("phy: invalid modulation %d", int(m))
-	}
-	if noiseVar <= 0 {
-		noiseVar = 1e-9
-	}
-	bps := m.BitsPerSymbol()
-	perDim := bps / 2
-	tab := llrTables[m]
-	amp, bits := tab.amp, tab.bits
-	levels := len(amp)
-
-	n := len(symbols) * bps
-	if cap(dst) < n {
-		dst = make([]float64, n)
-	}
-	out := dst[:n]
-	for s, sym := range symbols {
-		for dim := 0; dim < 2; dim++ {
-			y := real(sym)
-			if dim == 1 {
-				y = imag(sym)
-			}
-			for b := 0; b < perDim; b++ {
-				best0, best1 := math.Inf(1), math.Inf(1)
-				for idx := 0; idx < levels; idx++ {
-					d := y - amp[idx]
-					metric := d * d
-					if bits[idx][b] == 0 {
-						if metric < best0 {
-							best0 = metric
-						}
-					} else if metric < best1 {
-						best1 = metric
-					}
-				}
-				pos := s*bps + dim*perDim + b
-				out[pos] = (best1 - best0) / noiseVar
-			}
-		}
-	}
-	return out, nil
-}
-
-// HardDecision converts LLRs to bits (positive ⇒ 0).
-func HardDecision(llr []float64) []byte {
-	out := make([]byte, len(llr))
-	for i, v := range llr {
-		if v < 0 {
-			out[i] = 1
-		}
-	}
-	return out
 }

@@ -1,11 +1,6 @@
 package phy
 
-import (
-	"math"
-	"testing"
-
-	"concordia/internal/rng"
-)
+import "testing"
 
 func TestModulationBasics(t *testing.T) {
 	for _, m := range []Modulation{QPSK, QAM16, QAM64, QAM256} {
@@ -18,140 +13,5 @@ func TestModulationBasics(t *testing.T) {
 	}
 	if Modulation(3).Valid() {
 		t.Fatal("Modulation(3) should be invalid")
-	}
-}
-
-func TestModulateUnitEnergy(t *testing.T) {
-	r := rng.New(1)
-	for _, m := range []Modulation{QPSK, QAM16, QAM64, QAM256} {
-		bits := randomBits(r, m.BitsPerSymbol()*4096)
-		syms, err := m.Modulate(bits)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var e float64
-		for _, s := range syms {
-			e += real(s)*real(s) + imag(s)*imag(s)
-		}
-		e /= float64(len(syms))
-		if math.Abs(e-1) > 0.05 {
-			t.Errorf("%v average energy %v want 1", m, e)
-		}
-	}
-}
-
-func TestModulateConstellationSize(t *testing.T) {
-	// Enumerate all bit patterns per symbol; all points must be distinct.
-	for _, m := range []Modulation{QPSK, QAM16, QAM64} {
-		bps := m.BitsPerSymbol()
-		points := map[complex128]bool{}
-		for v := 0; v < 1<<bps; v++ {
-			bits := make([]byte, bps)
-			for b := 0; b < bps; b++ {
-				bits[b] = byte((v >> (bps - 1 - b)) & 1)
-			}
-			syms, err := m.Modulate(bits)
-			if err != nil {
-				t.Fatal(err)
-			}
-			points[syms[0]] = true
-		}
-		if len(points) != 1<<bps {
-			t.Errorf("%v has %d distinct points want %d", m, len(points), 1<<bps)
-		}
-	}
-}
-
-func TestModulateWrongLength(t *testing.T) {
-	if _, err := QAM16.Modulate(make([]byte, 3)); err == nil {
-		t.Fatal("non-multiple bit count accepted")
-	}
-}
-
-func TestDemodNoiselessRoundTrip(t *testing.T) {
-	r := rng.New(2)
-	for _, m := range []Modulation{QPSK, QAM16, QAM64, QAM256} {
-		bits := randomBits(r, m.BitsPerSymbol()*256)
-		syms, _ := m.Modulate(bits)
-		llr, err := m.DemodulateLLR(syms, 0.001)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := HardDecision(llr)
-		for i := range bits {
-			if got[i] != bits[i] {
-				t.Fatalf("%v noiseless round trip failed at bit %d", m, i)
-			}
-		}
-	}
-}
-
-func TestDemodNoisyQPSK(t *testing.T) {
-	r := rng.New(3)
-	bits := randomBits(r, 2*20000)
-	syms, _ := QPSK.Modulate(bits)
-	ch := NewAWGNChannel(8, r)
-	rx := ch.Transmit(syms)
-	llr, _ := QPSK.DemodulateLLR(rx, ch.NoiseVar)
-	errors := 0
-	for i, b := range HardDecision(llr) {
-		if b != bits[i] {
-			errors++
-		}
-	}
-	ber := float64(errors) / float64(len(bits))
-	// QPSK at 8 dB Es/N0 (5 dB Eb/N0): BER ~ 6e-3.
-	if ber > 0.03 {
-		t.Fatalf("QPSK BER %v too high at 8 dB", ber)
-	}
-}
-
-func TestDemodLLRSignMagnitude(t *testing.T) {
-	// A symbol far from the decision boundary must produce larger |LLR|
-	// than one near it.
-	llrFar, _ := QPSK.DemodulateLLR([]complex128{complex(2, 2)}, 1)
-	llrNear, _ := QPSK.DemodulateLLR([]complex128{complex(0.05, 0.05)}, 1)
-	if math.Abs(llrFar[0]) <= math.Abs(llrNear[0]) {
-		t.Fatal("LLR magnitude does not grow with distance from boundary")
-	}
-}
-
-func TestHigherOrderNeedsMoreSNR(t *testing.T) {
-	r := rng.New(4)
-	ber := func(m Modulation, snrDB float64) float64 {
-		bits := randomBits(r, m.BitsPerSymbol()*5000)
-		syms, _ := m.Modulate(bits)
-		ch := NewAWGNChannel(snrDB, r)
-		rx := ch.Transmit(syms)
-		llr, _ := m.DemodulateLLR(rx, ch.NoiseVar)
-		e := 0
-		for i, b := range HardDecision(llr) {
-			if b != bits[i] {
-				e++
-			}
-		}
-		return float64(e) / float64(len(bits))
-	}
-	if ber(QAM64, 12) <= ber(QPSK, 12) {
-		t.Fatal("64QAM should have higher BER than QPSK at equal SNR")
-	}
-}
-
-func BenchmarkModulate64QAM(b *testing.B) {
-	r := rng.New(1)
-	bits := randomBits(r, 6*1024)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, _ = QAM64.Modulate(bits)
-	}
-}
-
-func BenchmarkDemod64QAM(b *testing.B) {
-	r := rng.New(1)
-	bits := randomBits(r, 6*1024)
-	syms, _ := QAM64.Modulate(bits)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, _ = QAM64.DemodulateLLR(syms, 0.01)
 	}
 }

@@ -5,10 +5,10 @@ import (
 	"fmt"
 )
 
-// Segmentation splits a transport block into LDPC codeblocks following the
-// 38.212 §5.2.2 procedure: attach a TB-level CRC, split into equal-size
-// codeblocks no larger than MaxCodeblockBits, and attach a per-codeblock
-// CRC-24B when more than one block results.
+// Segmentation is the codeblock layout of a transport block under the
+// 38.212 §5.2.2 procedure: a TB-level CRC is attached, the result is split
+// into equal-size codeblocks no larger than MaxCodeblockBits, and each
+// codeblock carries a CRC-24B when more than one block results.
 type Segmentation struct {
 	TBBits      int // transport block payload bits (before CRCs)
 	NumBlocks   int // C
@@ -127,22 +127,10 @@ func (rm *RateMatcher) Match(codeword []byte) ([]byte, error) {
 // positions: repeated transmissions add (chase combining), punctured
 // positions stay at zero (erasure).
 func (rm *RateMatcher) Dematch(llr []float64) ([]float64, error) {
-	return rm.DematchInto(nil, llr)
-}
-
-// DematchInto is Dematch writing into dst's storage (capacity reused when it
-// suffices, so steady-state dematching allocates nothing).
-func (rm *RateMatcher) DematchInto(dst, llr []float64) ([]float64, error) {
 	if len(llr) != rm.E {
 		return nil, fmt.Errorf("phy: rate dematch wants %d LLRs, got %d", rm.E, len(llr))
 	}
-	if cap(dst) < rm.N {
-		dst = make([]float64, rm.N)
-	}
-	out := dst[:rm.N]
-	for i := range out {
-		out[i] = 0
-	}
+	out := make([]float64, rm.N)
 	for i, v := range llr {
 		out[i%rm.N] += v
 	}

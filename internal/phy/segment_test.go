@@ -215,57 +215,3 @@ func TestRateMatchDematchProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// Integration: full downlink-style chain — segment, LDPC-encode, rate-match,
-// modulate, AWGN, demodulate, dematch, decode, reassemble.
-func TestFullCodingChain(t *testing.T) {
-	r := rng.New(5)
-	const tb = 12000
-	payload := randomBits(r, tb)
-	seg, _ := Segment(tb)
-	blocks, err := seg.SegmentBits(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := seg.BlockBits
-	code, err := NewLDPCCode(k, k/2, 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mod := QAM16
-	// Rate-match to a multiple of bits-per-symbol.
-	e := code.N() + code.N()/4
-	e -= e % mod.BitsPerSymbol()
-	rm, _ := NewRateMatcher(code.N(), e)
-	ch := NewAWGNChannel(9, r)
-
-	rxBlocks := make([][]byte, len(blocks))
-	for i, b := range blocks {
-		cw, err := code.Encode(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tx, _ := rm.Match(cw)
-		syms, err := mod.Modulate(tx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rx := ch.Transmit(syms)
-		llr, _ := mod.DemodulateLLR(rx, ch.NoiseVar)
-		acc, _ := rm.Dematch(llr)
-		res, err := code.Decode(acc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rxBlocks[i] = res.Info
-	}
-	got, ok := seg.Reassemble(rxBlocks)
-	if !ok {
-		t.Fatal("full chain failed CRC at 9 dB")
-	}
-	for i := range payload {
-		if got[i] != payload[i] {
-			t.Fatal("full chain corrupted payload")
-		}
-	}
-}

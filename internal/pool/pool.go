@@ -167,7 +167,7 @@ func (c *Config) validate() error {
 	if c.Deadline <= 0 {
 		return errors.New("pool: non-positive deadline")
 	}
-	if c.Load <= 0 || c.Load > 1 {
+	if !(c.Load > 0 && c.Load <= 1) { // NaN fails too
 		return errors.New("pool: load must be in (0,1]")
 	}
 	if c.PeakULBytes <= 0 || c.PeakDLBytes <= 0 {

@@ -58,6 +58,7 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.Platform = nil },
 		func(c *Config) { c.Deadline = 0 },
 		func(c *Config) { c.Load = 0 },
+		func(c *Config) { c.Load = math.NaN() },
 		func(c *Config) { c.PeakULBytes = 0 },
 		func(c *Config) {
 			c.Cells = append(ran.Cells20MHz(1), ran.Cells100MHz(1)...)

@@ -145,9 +145,10 @@ func (c CellConfig) PeakSlotBytes(dir SlotDir) int {
 
 // Preset cell configurations matching the paper's Table 1/Table 2.
 //
-// Cells100MHz returns n 100 MHz TDD cells (µ=1, 0.5 ms slots, 4 antennas).
+// Cells100MHz returns n 100 MHz TDD cells (µ=1, 0.5 ms slots, 4 antennas),
+// none for n ≤ 0.
 func Cells100MHz(n int) []CellConfig {
-	out := make([]CellConfig, n)
+	out := make([]CellConfig, max(n, 0))
 	for i := range out {
 		out[i] = CellConfig{
 			ID:           i,
@@ -162,8 +163,8 @@ func Cells100MHz(n int) []CellConfig {
 	return out
 }
 
-// CellsLTE returns n 20 MHz LTE FDD cells (1 ms TTIs, turbo coding) — the
-// cell class behind the §2.2 trace measurements.
+// CellsLTE returns n 20 MHz LTE FDD cells (1 ms TTIs, turbo coding), none
+// for n ≤ 0: the cell class behind the §2.2 trace measurements.
 func CellsLTE(n int) []CellConfig {
 	out := Cells20MHz(n)
 	for i := range out {
@@ -172,9 +173,10 @@ func CellsLTE(n int) []CellConfig {
 	return out
 }
 
-// Cells20MHz returns n 20 MHz FDD cells (µ=0, 1 ms slots, 2 antennas).
+// Cells20MHz returns n 20 MHz FDD cells (µ=0, 1 ms slots, 2 antennas), none
+// for n ≤ 0.
 func Cells20MHz(n int) []CellConfig {
-	out := make([]CellConfig, n)
+	out := make([]CellConfig, max(n, 0))
 	for i := range out {
 		out[i] = CellConfig{
 			ID:           i,

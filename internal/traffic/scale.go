@@ -1,9 +1,6 @@
 package traffic
 
-import (
-	"errors"
-	"fmt"
-)
+import "errors"
 
 // ScaleSpec scales the measured 3-cell LTE reference statistics (§2.2) to
 // fleet-sized deployments: hundreds of cells serving a modeled subscriber
@@ -16,40 +13,25 @@ import (
 type ScaleSpec struct {
 	// Cells is the fleet-wide cell count (the LTE reference measured 3).
 	Cells int
-	// SubscribersPerCell is the modeled UE population attached per cell —
-	// accounting for the "millions of users" scale target, and the knob the
-	// volume extrapolation is derived from. 0 selects DefaultSubscribers.
-	SubscribersPerCell int
-	// VolumeScale multiplies the LTE reference per-slot payload ceiling
-	// (5 KB): the 5G extrapolation factor. 0 selects DefaultVolumeScale
-	// (10×, the paper's own scaling floor).
-	VolumeScale float64
 	// Load is the per-cell traffic load fraction (0.05–1.0); 0 selects the
 	// LTE reference's lightly loaded 0.1.
 	Load float64
-	// DiurnalPeriod, when positive, adds the long-term sinusoidal load
-	// fluctuation (in TTIs) that fleet-scale pooling classically exploits.
-	DiurnalPeriod int
-	Seed          uint64
+	Seed uint64
 }
 
-// Scaling defaults.
+// Scaling constants.
 const (
-	// DefaultSubscribers models a metro macro cell's attached-UE population.
+	// DefaultSubscribers is the modeled UE population attached per cell: a
+	// metro macro cell, accounting for the "millions of users" scale target.
 	DefaultSubscribers = 10000
-	// DefaultVolumeScale is the paper's ">10×" LTE→5G volume extrapolation.
+	// DefaultVolumeScale multiplies the LTE reference per-slot payload
+	// ceiling: the paper's ">10×" LTE→5G volume extrapolation.
 	DefaultVolumeScale = 10.0
 	// lteReferencePeakBytes is the Fig 3 per-slot payload ceiling (~5 KB).
 	lteReferencePeakBytes = 5 * 1024
 )
 
 func (s ScaleSpec) withDefaults() ScaleSpec {
-	if s.SubscribersPerCell == 0 {
-		s.SubscribersPerCell = DefaultSubscribers
-	}
-	if s.VolumeScale == 0 {
-		s.VolumeScale = DefaultVolumeScale
-	}
 	if s.Load == 0 {
 		s.Load = 0.1
 	}
@@ -62,13 +44,7 @@ func (s ScaleSpec) Validate() error {
 	if s.Cells <= 0 {
 		return errors.New("traffic: scale spec needs at least one cell")
 	}
-	if s.SubscribersPerCell < 0 {
-		return errors.New("traffic: negative subscribers per cell")
-	}
-	if s.VolumeScale < 1 {
-		return fmt.Errorf("traffic: volume scale %.2f shrinks the reference; want >= 1", s.VolumeScale)
-	}
-	if s.Load <= 0 || s.Load > 1 {
+	if !(s.Load > 0 && s.Load <= 1) { // NaN fails too
 		return errors.New("traffic: load must be in (0, 1]")
 	}
 	return nil
@@ -76,8 +52,7 @@ func (s ScaleSpec) Validate() error {
 
 // TotalUEs returns the modeled fleet-wide subscriber population.
 func (s ScaleSpec) TotalUEs() int64 {
-	s = s.withDefaults()
-	return int64(s.Cells) * int64(s.SubscribersPerCell)
+	return int64(s.Cells) * DefaultSubscribers
 }
 
 // Config derives the generator configuration: the LTE reference statistics
@@ -90,9 +65,8 @@ func (s ScaleSpec) Config() (Config, error) {
 	return Config{
 		Cells:         s.Cells,
 		Load:          s.Load,
-		PeakSlotBytes: int(float64(lteReferencePeakBytes) * s.VolumeScale),
+		PeakSlotBytes: lteReferencePeakBytes * DefaultVolumeScale,
 		Seed:          s.Seed,
-		DiurnalPeriod: s.DiurnalPeriod,
 	}, nil
 }
 

@@ -1,6 +1,7 @@
 package traffic
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -24,10 +25,9 @@ func TestScaleSpecDefaultsAndUEs(t *testing.T) {
 
 func TestScaleSpecValidation(t *testing.T) {
 	cases := map[string]ScaleSpec{
-		"no cells":     {Cells: 0},
-		"shrinking":    {Cells: 10, VolumeScale: 0.5},
-		"bad load":     {Cells: 10, Load: 1.5},
-		"negative ues": {Cells: 10, SubscribersPerCell: -1},
+		"no cells": {Cells: 0},
+		"bad load": {Cells: 10, Load: 1.5},
+		"NaN load": {Cells: 10, Load: math.NaN()},
 	}
 	for name, s := range cases {
 		if _, err := s.Config(); err == nil {
@@ -40,7 +40,7 @@ func TestScaleSpecValidation(t *testing.T) {
 // individual cells mostly idle, the fleet aggregate almost never, and the
 // volume ceiling scaled by the extrapolation factor.
 func TestGenerateScaledTraceKeepsPoolingStructure(t *testing.T) {
-	tr, err := GenerateScaledTrace(ScaleSpec{Cells: 120, Seed: 42, VolumeScale: 12}, 2000)
+	tr, err := GenerateScaledTrace(ScaleSpec{Cells: 120, Seed: 42}, 2000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestGenerateScaledTraceKeepsPoolingStructure(t *testing.T) {
 	if agg > 0.01 {
 		t.Errorf("120-cell aggregate idle %.3f; the pooled fleet should almost never be idle", agg)
 	}
-	peak := 12 * lteReferencePeakBytes
+	const peak int = DefaultVolumeScale * lteReferencePeakBytes
 	for t0, row := range tr.Volumes {
 		for c, v := range row {
 			if v > peak {
@@ -66,7 +66,7 @@ func TestGenerateScaledTraceKeepsPoolingStructure(t *testing.T) {
 }
 
 func TestScaleErrorMentionsPackage(t *testing.T) {
-	_, err := GenerateScaledTrace(ScaleSpec{Cells: 5, VolumeScale: 0.2}, 10)
+	_, err := GenerateScaledTrace(ScaleSpec{Cells: 5, Load: math.NaN()}, 10)
 	if err == nil || !strings.Contains(err.Error(), "traffic:") {
 		t.Fatalf("err = %v", err)
 	}

@@ -24,11 +24,6 @@ type Config struct {
 	// mirroring Table 1 vs Table 2 (avg 750 Mbps vs peak 1.5 Gbps).
 	PeakSlotBytes int
 	Seed          uint64
-	// DiurnalPeriod, when positive, modulates the effective load
-	// sinusoidally between 20% and 100% of Load over the given number of
-	// TTIs — the long-term fluctuation RAN pooling classically exploits
-	// (§2.2's diurnal observation). Zero disables modulation.
-	DiurnalPeriod int
 }
 
 // LTEReference returns the configuration that mirrors the measured 3-cell
@@ -85,7 +80,7 @@ func NewGenerator(cfg Config) (*Generator, error) {
 	if cfg.Cells <= 0 {
 		return nil, errors.New("traffic: need at least one cell")
 	}
-	if cfg.Load <= 0 || cfg.Load > 1 {
+	if !(cfg.Load > 0 && cfg.Load <= 1) { // NaN fails too
 		return nil, errors.New("traffic: load must be in (0, 1]")
 	}
 	if cfg.PeakSlotBytes <= 0 {
@@ -107,14 +102,6 @@ func (g *Generator) Cells() int { return g.cfg.Cells }
 // is reused on the following call; callers that retain it must copy.
 func (g *Generator) NextSlot() []int {
 	cfg := g.cfg
-	if cfg.DiurnalPeriod > 0 {
-		// Sinusoidal long-term modulation between 0.2x and 1.0x of Load.
-		phase := 2 * math.Pi * float64(g.slot%cfg.DiurnalPeriod) / float64(cfg.DiurnalPeriod)
-		cfg.Load *= 0.6 + 0.4*math.Sin(phase)
-		if cfg.Load <= 0.01 {
-			cfg.Load = 0.01
-		}
-	}
 	epoch := g.slot / epochTTIs
 	busy := busyCellCount(cfg.Cells, cfg.Load)
 	out := g.out

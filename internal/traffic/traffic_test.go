@@ -1,6 +1,7 @@
 package traffic
 
 import (
+	"math"
 	"testing"
 
 	"concordia/internal/stats"
@@ -15,6 +16,9 @@ func TestNewGeneratorValidation(t *testing.T) {
 	}
 	if _, err := NewGenerator(Config{Cells: 1, Load: 1.5, PeakSlotBytes: 100}); err == nil {
 		t.Fatal("load > 1 accepted")
+	}
+	if _, err := NewGenerator(Config{Cells: 1, Load: math.NaN(), PeakSlotBytes: 100}); err == nil {
+		t.Fatal("NaN load accepted")
 	}
 	if _, err := NewGenerator(Config{Cells: 1, Load: 0.5, PeakSlotBytes: 0}); err == nil {
 		t.Fatal("zero peak accepted")
@@ -158,26 +162,5 @@ func BenchmarkNextSlot(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = g.NextSlot()
-	}
-}
-
-func TestDiurnalModulation(t *testing.T) {
-	cfg := Config{Cells: 2, Load: 0.8, PeakSlotBytes: 8192, Seed: 31, DiurnalPeriod: 20000}
-	tr, err := GenerateTrace(cfg, 40000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Mean volume in the peak half-period must exceed the trough's.
-	meanOver := func(lo, hi int) float64 {
-		var s float64
-		for i := lo; i < hi; i++ {
-			s += float64(tr.AggregateSlot(i))
-		}
-		return s / float64(hi-lo)
-	}
-	peak := meanOver(2000, 8000)     // around sin max (quarter period)
-	trough := meanOver(12000, 18000) // around sin min
-	if peak <= trough*1.3 {
-		t.Fatalf("diurnal peak %.0f not above trough %.0f", peak, trough)
 	}
 }

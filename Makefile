@@ -75,15 +75,13 @@ poolcheck:
 	$(GO) test -tags poolcheck -timeout 30m -run 'TestExperimentsWorkerDeterminism/(fig4a|fig4b|chaos|predcal|accelsweep)' .
 
 # fuzz runs every fuzz target for FUZZTIME each: the parsers of user input
-# (the -faults spec, a saved quantile tree, a traffic trace, an events CSV)
-# and the Chrome trace exporter against its encoding/json reference. go test
-# fuzzes one target per invocation, hence one line each. A failing input is
-# saved under the package's testdata/fuzz/ and replayed by every later
-# `go test`.
+# (the -faults spec, a traffic trace, an events CSV) and the Chrome trace
+# exporter against its encoding/json reference. go test fuzzes one target
+# per invocation, hence one line each. A failing input is saved under the
+# package's testdata/fuzz/ and replayed by every later `go test`.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/faults
-	$(GO) test -run '^$$' -fuzz '^FuzzLoadQuantileTree$$' -fuzztime $(FUZZTIME) ./internal/predictor
 	$(GO) test -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime $(FUZZTIME) ./internal/traffic
 	$(GO) test -run '^$$' -fuzz '^FuzzReadEventsCSV$$' -fuzztime $(FUZZTIME) ./internal/telemetry
 	$(GO) test -run '^$$' -fuzz '^FuzzChromeTrace$$' -fuzztime $(FUZZTIME) ./internal/telemetry

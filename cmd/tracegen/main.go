@@ -7,7 +7,6 @@
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"os"
@@ -41,22 +40,9 @@ func main() {
 		fmt.Printf("aggregate idle   %.1f%%\n", 100*tr.IdleFraction(-1))
 		return
 	}
-	w := bufio.NewWriter(os.Stdout)
-	fmt.Fprint(w, "tti")
-	for c := 0; c < *cells; c++ {
-		fmt.Fprintf(w, ",cell%d", c)
-	}
-	fmt.Fprintln(w)
-	for t := 0; t < *slots; t++ {
-		fmt.Fprint(w, t)
-		for _, v := range tr.Volumes[t] {
-			fmt.Fprintf(w, ",%d", v)
-		}
-		fmt.Fprintln(w)
-	}
-	// A buffered writer swallows write errors until Flush: a full disk or a
+	// WriteCSV flushes and returns the first write error: a full disk or a
 	// closed pipe must fail the command, not truncate the trace silently.
-	if err := w.Flush(); err != nil {
+	if err := tr.WriteCSV(os.Stdout); err != nil {
 		cli.Exit(1, err)
 	}
 }

@@ -250,18 +250,13 @@ func Profile(cells []ran.CellConfig, slots int, model *costmodel.Model, poolCore
 	return out
 }
 
-// TrainPredictors runs Algorithm 1 for every profiled task kind: feature
-// selection (distance correlation + backwards elimination + hand-picked)
-// followed by quantile-tree training, with kinds trained on the default
-// worker count. Equivalent to TrainPredictorsWorkers(data, margin, 0).
-func TrainPredictors(data map[ran.TaskKind][]predictor.Sample, margin float64) (pool.PredictorSet, error) {
-	return TrainPredictorsWorkers(data, margin, 0)
-}
-
-// TrainPredictorsWorkers trains the per-kind quantile trees on at most
-// workers goroutines. Each kind's tree depends only on that kind's samples,
-// so the resulting predictor set is identical for every worker count; kinds
-// are processed in sorted order so error reporting is deterministic too.
+// TrainPredictorsWorkers runs Algorithm 1 for every profiled task kind:
+// feature selection (distance correlation + backwards elimination +
+// hand-picked) followed by quantile-tree training, on at most workers
+// goroutines (0 = runtime.NumCPU()). Each kind's tree depends only on that
+// kind's samples, so the resulting predictor set is identical for every
+// worker count; kinds are processed in sorted order so error reporting is
+// deterministic too.
 func TrainPredictorsWorkers(data map[ran.TaskKind][]predictor.Sample, margin float64, workers int) (pool.PredictorSet, error) {
 	if len(data) == 0 {
 		return nil, errors.New("core: empty training data")
@@ -294,30 +289,13 @@ func TrainPredictorsWorkers(data map[ran.TaskKind][]predictor.Sample, margin flo
 	return set, nil
 }
 
-// NewSystem profiles, trains, and assembles a deployment.
+// NewSystem checks the configuration, then profiles, trains, and assembles
+// a deployment: a refused configuration pays for no training.
 func NewSystem(cfg Config) (*System, error) {
-	// Profiling cycles through the cells before pool.New validates the
-	// config, so an empty cell list must be refused here.
-	if len(cfg.Cells) == 0 {
-		return nil, errors.New("core: no cells")
-	}
 	cfg.fillDefaults()
 	sched, err := cfg.buildScheduler()
 	if err != nil {
 		return nil, err
-	}
-	model := costmodel.New(cfg.Seed ^ 0xc0de)
-	var preds pool.Predictors
-	var set pool.PredictorSet
-	if cfg.Predictor != nil {
-		preds = cfg.Predictor
-	} else {
-		data := Profile(cfg.Cells, cfg.TrainingSlots, model, cfg.PoolCores, cfg.Seed^0x0ff1)
-		set, err = TrainPredictorsWorkers(data, predictorMargin, cfg.Workers)
-		if err != nil {
-			return nil, err
-		}
-		preds = set
 	}
 	var dev *accel.Accelerator
 	if cfg.UseAccel {
@@ -329,15 +307,6 @@ func NewSystem(cfg Config) (*System, error) {
 	var wl *workloads.Schedule
 	if cfg.Workload != workloads.None {
 		wl = workloads.NewSchedule(cfg.Workload, 12*sim.Second*3600, cfg.Seed^0x3141)
-	}
-	// Concordia's proactive reservation bridges inter-TTI gaps; baselines
-	// release the instant their condition clears.
-	var hysteresis sim.Time
-	if cfg.Scheduler == SchedConcordia && !cfg.Ablation.NoHysteresis {
-		hysteresis = 2 * cfg.Cells[0].Numerology.SlotDuration()
-	}
-	if cfg.Ablation.NoOnlineAdaptation {
-		preds = frozenPredictors{inner: preds}
 	}
 	if cfg.Telemetry != nil {
 		// Observe every policy decision (periodic ticks and completion-
@@ -377,31 +346,53 @@ func NewSystem(cfg Config) (*System, error) {
 		}
 		sloTracker = slo.New(opts, trc)
 	}
-	p, err := pool.New(pool.Config{
-		Cells:             cfg.Cells,
-		PoolCores:         cfg.PoolCores,
-		Scheduler:         sched,
-		Predict:           preds,
-		CostModel:         model,
-		Platform:          platform.New(cfg.Seed ^ 0x9e37),
-		Workload:          wl,
-		Deadline:          cfg.Deadline,
-		Load:              cfg.Load,
-		PeakULBytes:       cfg.PeakULBytes,
-		PeakDLBytes:       cfg.PeakDLBytes,
-		Seed:              cfg.Seed,
-		ULSource:          ulSrc,
-		DLSource:          dlSrc,
-		ReleaseHysteresis: hysteresis,
-		Accel:             dev,
-		OffloadBatch:      cfg.OffloadBatch,
-		IncludeMAC:        cfg.IncludeMAC,
-		StaticPartition:   cfg.Scheduler == SchedFlexRAN,
-		Telemetry:         cfg.Telemetry,
-		SLO:               sloTracker,
-		Faults:            cfg.Faults,
-		DropLateDAGs:      cfg.DropLateDAGs,
-	})
+	pcfg := pool.Config{
+		Cells:           cfg.Cells,
+		PoolCores:       cfg.PoolCores,
+		Scheduler:       sched,
+		CostModel:       costmodel.New(cfg.Seed ^ 0xc0de),
+		Platform:        platform.New(cfg.Seed ^ 0x9e37),
+		Workload:        wl,
+		Deadline:        cfg.Deadline,
+		Load:            cfg.Load,
+		PeakULBytes:     cfg.PeakULBytes,
+		PeakDLBytes:     cfg.PeakDLBytes,
+		Seed:            cfg.Seed,
+		ULSource:        ulSrc,
+		DLSource:        dlSrc,
+		Accel:           dev,
+		OffloadBatch:    cfg.OffloadBatch,
+		IncludeMAC:      cfg.IncludeMAC,
+		StaticPartition: cfg.Scheduler == SchedFlexRAN,
+		Telemetry:       cfg.Telemetry,
+		SLO:             sloTracker,
+		Faults:          cfg.Faults,
+		DropLateDAGs:    cfg.DropLateDAGs,
+	}
+	if err := pcfg.Validate(); err != nil {
+		return nil, err
+	}
+	// Concordia's proactive reservation bridges inter-TTI gaps; baselines
+	// release the instant their condition clears.
+	if cfg.Scheduler == SchedConcordia && !cfg.Ablation.NoHysteresis {
+		pcfg.ReleaseHysteresis = 2 * cfg.Cells[0].Numerology.SlotDuration()
+	}
+	var set pool.PredictorSet
+	pcfg.Predict = cfg.Predictor
+	if pcfg.Predict == nil {
+		// Profile must draw the cost model's first samples; the parts built
+		// above each have their own seed, so they may be built first.
+		data := Profile(cfg.Cells, cfg.TrainingSlots, pcfg.CostModel, cfg.PoolCores, cfg.Seed^0x0ff1)
+		set, err = TrainPredictorsWorkers(data, predictorMargin, cfg.Workers)
+		if err != nil {
+			return nil, err
+		}
+		pcfg.Predict = set
+	}
+	if cfg.Ablation.NoOnlineAdaptation {
+		pcfg.Predict = frozenPredictors{inner: pcfg.Predict}
+	}
+	p, err := pool.New(pcfg)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"concordia/internal/costmodel"
@@ -26,7 +28,7 @@ func TestProfileCoversKinds(t *testing.T) {
 func TestTrainPredictorsProducesTrees(t *testing.T) {
 	model := costmodel.New(2)
 	data := Profile(ran.Cells100MHz(1), 600, model, 4, 3)
-	set, err := TrainPredictors(data, 1.0)
+	set, err := TrainPredictorsWorkers(data, 1.0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +49,7 @@ func TestTrainPredictorsProducesTrees(t *testing.T) {
 }
 
 func TestTrainPredictorsEmpty(t *testing.T) {
-	if _, err := TrainPredictors(nil, 1.0); err == nil {
+	if _, err := TrainPredictorsWorkers(nil, 1.0, 0); err == nil {
 		t.Fatal("empty training data accepted")
 	}
 }
@@ -76,6 +78,27 @@ func TestNoCellsRejected(t *testing.T) {
 		}
 		if _, err := MinimumCores(tc.cfg, 4, 0.999, sim.FromMs(10)); err == nil {
 			t.Errorf("%s: MinimumCores accepted a config with no cells", tc.name)
+		}
+	}
+}
+
+// NewSystem checks the pool configuration before it profiles and trains:
+// a refused config fails with its own error, and TrainingSlots -1, which
+// profiles nothing, shows that no training ran first.
+func TestNewSystemValidatesBeforeTraining(t *testing.T) {
+	for _, tc := range []struct {
+		name, want string
+		edit       func(*Config)
+	}{
+		{"load NaN", "pool: load must be in (0,1]", func(c *Config) { c.Load = math.NaN() }},
+		{"no cores", "pool: need at least one core", func(c *Config) { c.PoolCores = 0 }},
+	} {
+		cfg := Scenario20MHz(1, 2)
+		cfg.TrainingSlots = -1
+		tc.edit(&cfg)
+		_, err := NewSystem(cfg)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: NewSystem error %v, want %q", tc.name, err, tc.want)
 		}
 	}
 }

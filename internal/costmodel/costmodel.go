@@ -206,33 +206,3 @@ func (m *Model) SampleWith(r *rng.Rand, kind ran.TaskKind, f ran.FeatureVector, 
 	}
 	return t
 }
-
-// DAGWork returns the summed expected runtime of every task in the DAG
-// (the C term of federated scheduling) under env.
-func (m *Model) DAGWork(d *ran.DAG, env Env) sim.Time {
-	var total sim.Time
-	for _, t := range d.Tasks {
-		total += m.Mean(t.Kind, t.Features, env)
-	}
-	return total
-}
-
-// CriticalPath returns the longest expected-runtime path through the DAG
-// (the L term of federated scheduling) under env.
-func (m *Model) CriticalPath(d *ran.DAG, env Env) sim.Time {
-	longest := make([]sim.Time, len(d.Tasks))
-	var best sim.Time
-	for _, t := range d.Tasks { // tasks are topologically ordered by ID
-		var in sim.Time
-		for _, dep := range t.Deps {
-			if longest[dep] > in {
-				in = longest[dep]
-			}
-		}
-		longest[t.ID] = in + m.Mean(t.Kind, t.Features, env)
-		if longest[t.ID] > best {
-			best = longest[t.ID]
-		}
-	}
-	return best
-}

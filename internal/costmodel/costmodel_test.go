@@ -2,11 +2,10 @@ package costmodel
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"concordia/internal/ran"
-	"concordia/internal/rng"
-	"concordia/internal/sim"
 	"concordia/internal/stats"
 )
 
@@ -123,7 +122,7 @@ func TestSampleDistribution(t *testing.T) {
 	if stats.StdDev(samples) == 0 {
 		t.Fatal("samples have no variance")
 	}
-	if stats.Min(samples) <= 0 {
+	if slices.Min(samples) <= 0 {
 		t.Fatal("non-positive runtime sample")
 	}
 }
@@ -180,90 +179,12 @@ func TestScaleMultiplier(t *testing.T) {
 	}
 }
 
-func buildTestDAG(t *testing.T) *ran.DAG {
-	t.Helper()
-	r := rng.New(7)
-	cfg := ran.Cells100MHz(1)[0]
-	allocs := ran.AllocateSlot(cfg, 30000, r)
-	if len(allocs) == 0 {
-		t.Fatal("no allocations")
-	}
-	return ran.BuildUplinkDAG(cfg, 0, 0, sim.FromMs(1.5), allocs)
-}
-
-func TestDAGWorkAndCriticalPath(t *testing.T) {
-	m := New(6)
-	d := buildTestDAG(t)
-	env := Env{PoolCores: 4}
-	work := m.DAGWork(d, env)
-	cp := m.CriticalPath(d, env)
-	if work <= 0 || cp <= 0 {
-		t.Fatal("non-positive work or critical path")
-	}
-	if cp > work {
-		t.Fatalf("critical path %v exceeds total work %v", cp, work)
-	}
-	// The critical path must be at least the longest single task.
-	var maxTask sim.Time
-	for _, task := range d.Tasks {
-		if v := m.Mean(task.Kind, task.Features, env); v > maxTask {
-			maxTask = v
-		}
-	}
-	if cp < maxTask {
-		t.Fatalf("critical path %v below longest task %v", cp, maxTask)
-	}
-}
-
-func TestCriticalPathRespectsChains(t *testing.T) {
-	// A pure chain DAG's critical path equals its total work.
-	m := New(8)
-	d := &ran.DAG{CellID: 0, Deadline: sim.FromMs(1)}
-	var f ran.FeatureVector
-	f.Set(ran.FCodeblocks, 2)
-	f.Set(ran.FSNRdB, 20)
-	// Build chain via the exported builder: single UE with one codeblock
-	// group produces mostly a chain; instead verify with uplink DAG roots.
-	cfg := ran.Cells20MHz(1)[0]
-	alloc := []ran.UEAlloc{{UE: 0, SNRdB: 20, MCS: ran.MCSTable[5], Layers: 1, PRBs: 10, TBSBits: 5000, Codeblocks: 1}}
-	dag := ran.BuildUplinkDAG(cfg, 0, 0, sim.FromMs(2), alloc)
-	_ = d
-	env := Env{PoolCores: 1}
-	cp := m.CriticalPath(dag, env)
-	// Chain: fft -> chanest -> eq -> demod -> dematch -> decode -> crc.
-	var chain sim.Time
-	for _, task := range dag.Tasks {
-		if task.Kind == ran.TaskPolarDecode {
-			continue
-		}
-		if task.Kind == ran.TaskFFT && task.ID != 0 {
-			continue // parallel FFTs count once
-		}
-		chain += m.Mean(task.Kind, task.Features, env)
-	}
-	if cp != chain {
-		t.Fatalf("chain critical path %v want %v", cp, chain)
-	}
-}
-
 func BenchmarkSample(b *testing.B) {
 	m := New(1)
 	f := decodeFeatures(5, 18)
 	env := Env{PoolCores: 4, Interference: 0.5}
 	for i := 0; i < b.N; i++ {
 		_ = m.Sample(ran.TaskLDPCDecode, f, env)
-	}
-}
-
-func BenchmarkCriticalPath(b *testing.B) {
-	m := New(1)
-	r := rng.New(7)
-	cfg := ran.Cells100MHz(1)[0]
-	d := ran.BuildUplinkDAG(cfg, 0, 0, sim.FromMs(1.5), ran.AllocateSlot(cfg, 40000, r))
-	env := Env{PoolCores: 4}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = m.CriticalPath(d, env)
 	}
 }
 

@@ -40,9 +40,6 @@ type Options struct {
 	Workers int
 }
 
-// DefaultOptions returns full-quality settings.
-func DefaultOptions() Options { return Options{Seed: 42, Scale: 1.0} }
-
 // Quick returns reduced settings for tests and smoke runs, sized so the
 // whole suite fits Go's default 10-minute package timeout on one core.
 func Quick() Options { return Options{Seed: 42, Scale: 0.025, TrainingSlots: 500} }

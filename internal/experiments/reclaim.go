@@ -95,13 +95,12 @@ func (r *Fig8aResult) String() string {
 
 // Fig8bRow is one collocated-workload throughput measurement.
 type Fig8bRow struct {
-	Workload     workloads.Kind
-	Load         float64
-	Achieved     float64
-	Ideal        float64 // no-vRAN reference on the same core count
-	FracOfIdeal  float64
-	RANReliable  float64
-	CoresGranted float64 // average cores' worth of time granted
+	Workload    workloads.Kind
+	Load        float64
+	Achieved    float64
+	Ideal       float64 // no-vRAN reference on the same core count
+	FracOfIdeal float64
+	RANReliable float64
 }
 
 // Fig8bResult is the collocated-workload performance figure (8b-8d + the
@@ -129,13 +128,12 @@ func RunFig8Workloads(o Options) (*Fig8bResult, error) {
 		achieved := rep.WorkloadThroughput(wl)
 		ideal := prof.Ideal(cfg.PoolCores, dur.Seconds())
 		return Fig8bRow{
-			Workload:     wl,
-			Load:         load,
-			Achieved:     achieved,
-			Ideal:        ideal,
-			FracOfIdeal:  achieved / ideal,
-			RANReliable:  rep.Reliability(),
-			CoresGranted: rep.BestEffortCoreSeconds / dur.Seconds(),
+			Workload:    wl,
+			Load:        load,
+			Achieved:    achieved,
+			Ideal:       ideal,
+			FracOfIdeal: achieved / ideal,
+			RANReliable: rep.Reliability(),
 		}, nil
 	})
 	if err != nil {

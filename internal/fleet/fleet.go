@@ -159,7 +159,10 @@ type Result struct {
 
 	// RequiredCores is the time-averaged fleet core requirement at this run's
 	// own calibration (Kappa × RequiredDemand); IdealCores the
-	// single-global-pool bound; TotalCores the provisioned fleet size.
+	// single-global-pool bound; TotalCores the provisioned fleet size. Both
+	// requirements are fractional by design: whole-core rounding rewards
+	// concentrating demand and would mask the balance migration buys; the
+	// epochs' RequiredCores keep the integer provisioning view.
 	RequiredCores float64
 	IdealCores    float64
 	TotalCores    int

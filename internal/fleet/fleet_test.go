@@ -243,8 +243,8 @@ func TestDemandTrackerCores(t *testing.T) {
 		t.Fatalf("EpochCores = %d, want 3", got)
 	}
 	// Aggregate sustains (4000+5000)/2=4500 → 1.8 cores < per-server sum.
-	if got := d.IdealCores(kappa, slotSec); math.Abs(got-1.8) > 1e-9 {
-		t.Fatalf("IdealCores = %.2f, want 1.8", got)
+	if got := kappa * d.IdealDemand(slotSec); math.Abs(got-1.8) > 1e-9 {
+		t.Fatalf("kappa × IdealDemand = %.2f, want 1.8", got)
 	}
 	if d.Total() != 9000 {
 		t.Fatalf("Total = %.0f, want 9000", d.Total())

@@ -172,19 +172,6 @@ func (d *DemandTracker) IdealDemand(slotSec float64) float64 {
 	return sum / slotSec / float64(len(d.aggPeak))
 }
 
-// RequiredCores converts RequiredDemand to cores at efficiency kappa (busy
-// core-seconds per byte). Fractional by design: whole-core rounding rewards
-// concentrating demand (fewer ceils) and would mask the balance improvements
-// migration buys; EpochCores keeps the integer provisioning view.
-func (d *DemandTracker) RequiredCores(kappa, slotSec float64) float64 {
-	return kappa * d.RequiredDemand(slotSec)
-}
-
-// IdealCores converts IdealDemand to cores at efficiency kappa.
-func (d *DemandTracker) IdealCores(kappa, slotSec float64) float64 {
-	return kappa * d.IdealDemand(slotSec)
-}
-
 // coresFor converts a peak slot volume to a whole-core requirement. A
 // server with any assigned traffic needs at least one core.
 func coresFor(peakBytes, kappa, slotSec float64) int {

@@ -3,9 +3,7 @@
 // with normalized min-sum decoding) and an AWGN channel, which the
 // calibration experiment times to check the cost model's shape, and the QAM
 // modulation orders and codeblock segmentation the RAN model sizes
-// transport blocks with. The bit-level transport-block path around the
-// LDPC code — CRC attachment, SegmentBits/Reassemble and circular-buffer
-// rate matching — stays with its tests; no workload runs it yet.
+// transport blocks with.
 //
 // The decoder operates on real bits and real baseband samples; the
 // simulator's cost model is calibrated against the genuine codeblock-count

@@ -110,44 +110,3 @@ func TestOffloadBatchingDeterministic(t *testing.T) {
 		t.Fatalf("batched run not deterministic:\n%s\nvs\n%s", a, b)
 	}
 }
-
-// offloadProbe records the maximum OffloadableReady the policy observed and
-// checks the subset invariant on every decision.
-type offloadProbe struct {
-	scheduler.Scheduler
-	t   *testing.T
-	max *int
-}
-
-func (o offloadProbe) Cores(s scheduler.PoolState) int {
-	if s.OffloadableReady > s.ReadyTasks {
-		o.t.Errorf("OffloadableReady %d > ReadyTasks %d", s.OffloadableReady, s.ReadyTasks)
-	}
-	if s.OffloadableReady > *o.max {
-		*o.max = s.OffloadableReady
-	}
-	return o.Scheduler.Cores(s)
-}
-
-func TestSchedulerSeesOffloadableReady(t *testing.T) {
-	max := 0
-	cfg := testConfig(offloadProbe{scheduler.NewConcordia(), t, &max}, workloads.None, 27)
-	cfg.Accel = accel.DefaultFPGA()
-	// Starve the pool slightly so ready queues are non-empty at decision
-	// points.
-	cfg.PoolCores = 3
-	cfg.Load = 0.8
-	run(t, cfg, sim.Second)
-	if max == 0 {
-		t.Fatal("policy never observed an offloadable ready task")
-	}
-
-	maxNoAccel := 0
-	cfg = testConfig(offloadProbe{scheduler.NewConcordia(), t, &maxNoAccel}, workloads.None, 27)
-	cfg.PoolCores = 3
-	cfg.Load = 0.8
-	run(t, cfg, sim.Second)
-	if maxNoAccel != 0 {
-		t.Fatalf("OffloadableReady %d without an accelerator", maxNoAccel)
-	}
-}

@@ -145,7 +145,10 @@ type Config struct {
 	Faults *faults.Config
 }
 
-func (c *Config) validate() error {
+// Validate reports the first problem that would stop the configuration from
+// building a pool. New runs it too; callers that do costly set-up before New
+// run it first so a refused configuration costs nothing.
+func (c *Config) Validate() error {
 	if len(c.Cells) == 0 {
 		return errors.New("pool: no cells")
 	}
@@ -340,8 +343,6 @@ type core struct {
 	state     coreState
 	task      *task
 	wakeEv    sim.EventHandle
-	doneEv    sim.EventHandle
-	busyEnd   sim.Time
 	wakeStart sim.Time
 	idleSince sim.Time
 	// drain marks a busy core that must yield on task completion (core
@@ -423,7 +424,7 @@ type Pool struct {
 
 // New validates the configuration and builds the pool.
 func New(cfg Config) (*Pool, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	root := rng.New(cfg.Seed)
@@ -857,8 +858,7 @@ func (p *Pool) startTask(ci int, t *task, now sim.Time) {
 	if p.cfg.Accel != nil && !t.noOffload && p.cfg.Accel.Offloads(t.node.Kind) {
 		dur := p.cfg.Accel.SubmitCost
 		c.task = t
-		c.busyEnd = now + dur
-		c.doneEv = p.eng.AfterKind(dur, p.kOffloadSubmitted, int64(ci), 0)
+		p.eng.AfterKind(dur, p.kOffloadSubmitted, int64(ci), 0)
 		return
 	}
 	p.execOnCore(ci, t, now)
@@ -906,8 +906,7 @@ func (p *Pool) execOnCore(ci int, t *task, now sim.Time) {
 	c := &p.cores[ci]
 	dur := p.taskDuration(t, now)
 	c.task = t
-	c.busyEnd = now + dur
-	c.doneEv = p.eng.AfterKind(dur, p.kTaskDone, int64(ci), 0)
+	p.eng.AfterKind(dur, p.kTaskDone, int64(ci), 0)
 }
 
 // onOffloadSubmitted hands the core's current task to the accelerator and
@@ -918,7 +917,6 @@ func (p *Pool) onOffloadSubmitted(ci int) {
 	c := &p.cores[ci]
 	t := c.task
 	c.task = nil
-	c.doneEv = sim.EventHandle{}
 	run := t.dag
 	run.cpuTime += p.cfg.Accel.SubmitCost
 	if p.flt != nil && p.flt.LaneFails(run.seq, int64(t.node.ID), t.retries) {
@@ -1183,7 +1181,6 @@ func (p *Pool) onTaskDone(ci int) {
 	c := &p.cores[ci]
 	t := c.task
 	c.task = nil
-	c.doneEv = sim.EventHandle{}
 	p.coreAfterTask(ci, p.completeTask(t, ci, now), now)
 }
 
@@ -1399,9 +1396,6 @@ func (p *Pool) schedulerState(now sim.Time) scheduler.PoolState {
 			for _, t := range p.queues[qi] {
 				if oldest < 0 || t.readyAt < oldest {
 					oldest = t.readyAt
-				}
-				if p.cfg.Accel != nil && !t.noOffload && p.cfg.Accel.Offloads(t.node.Kind) {
-					st.OffloadableReady++
 				}
 			}
 		}

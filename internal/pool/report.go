@@ -75,7 +75,6 @@ type Report struct {
 	workloadCoreSeconds map[workloads.Kind]float64
 
 	poolCores int
-	workload  *workloads.Schedule
 }
 
 // FaultStats counts injected faults and the pool's recovery actions during a
@@ -150,7 +149,6 @@ func newReport(cfg Config) *Report {
 		TaskRuntimes:        map[ran.TaskKind]*stats.Reservoir{},
 		workloadCoreSeconds: map[workloads.Kind]float64{},
 		poolCores:           cfg.PoolCores,
-		workload:            cfg.Workload,
 	}
 }
 

@@ -2,7 +2,6 @@ package predictor
 
 import (
 	"errors"
-	"sort"
 
 	"concordia/internal/ran"
 	"concordia/internal/sim"
@@ -297,7 +296,6 @@ type EVTPredictor struct {
 	Confidence float64
 	window     []float64
 	next       int
-	full       bool
 	cached     sim.Time
 	pending    int
 	empMax     float64
@@ -329,7 +327,6 @@ func (p *EVTPredictor) pushSample(v float64) {
 	if len(p.window) < cap(p.window) {
 		p.window = append(p.window, v)
 	} else {
-		p.full = true
 		p.window[p.next] = v
 		p.next = (p.next + 1) % len(p.window)
 	}
@@ -362,11 +359,4 @@ func (p *EVTPredictor) Observe(_ ran.FeatureVector, runtime sim.Time) {
 	if p.pending >= 2048 {
 		p.refit()
 	}
-}
-
-// sortSamplesByRuntime is a helper used by analysis code.
-func sortSamplesByRuntime(data []Sample) []Sample {
-	out := append([]Sample(nil), data...)
-	sort.Slice(out, func(a, b int) bool { return out[a].Runtime < out[b].Runtime })
-	return out
 }

@@ -458,17 +458,6 @@ func TestResidualTrackerQuantile(t *testing.T) {
 	}
 }
 
-func TestSortSamplesHelper(t *testing.T) {
-	data := []Sample{{Runtime: 3}, {Runtime: 1}, {Runtime: 2}}
-	s := sortSamplesByRuntime(data)
-	if s[0].Runtime != 1 || s[2].Runtime != 3 {
-		t.Fatal("sort helper broken")
-	}
-	if data[0].Runtime != 3 {
-		t.Fatal("sort helper mutated input")
-	}
-}
-
 var predictSink sim.Time
 
 func BenchmarkTreePredict(b *testing.B) {

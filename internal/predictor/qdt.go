@@ -19,10 +19,9 @@ import (
 // (Algorithm 2) — the mechanism that adapts predictions to interference
 // from collocated workloads.
 type QuantileTree struct {
-	Kind     ran.TaskKind
-	Features []ran.Feature
-	root     *treeNode
-	leaves   []*treeNode
+	Kind   ran.TaskKind
+	root   *treeNode
+	leaves []*treeNode
 	// splitBudget is the number of additional splits allowed while growing
 	// (MaxLeaves - 1); each split turns one pending leaf into two.
 	splitBudget int
@@ -85,7 +84,7 @@ func TrainQuantileTree(kind ran.TaskKind, features []ran.Feature, data []Sample,
 	if len(features) == 0 {
 		return nil, errors.New("predictor: no features selected")
 	}
-	t := &QuantileTree{Kind: kind, Features: features, Margin: cfg.Margin, splitBudget: cfg.MaxLeaves - 1}
+	t := &QuantileTree{Kind: kind, Margin: cfg.Margin, splitBudget: cfg.MaxLeaves - 1}
 	idx := make([]int, len(data))
 	for i := range idx {
 		idx[i] = i
@@ -289,7 +288,7 @@ func (t *QuantileTree) NumLeaves() int { return len(t.leaves) }
 // LeafSamples returns the current ring-buffer contents of leaf id as
 // float64 nanoseconds.
 func (t *QuantileTree) LeafSamples(id int) []float64 {
-	if id < 0 || id >= len(t.leaves) || t.leaves[id] == nil {
+	if id < 0 || id >= len(t.leaves) {
 		return nil
 	}
 	vals := t.leaves[id].ring.Values()

@@ -135,14 +135,6 @@ func (c CellConfig) SlotDir(slot int) SlotDir {
 	return pat[slot%len(pat)]
 }
 
-// PeakSlotBytes returns the maximum MAC payload bytes one slot can carry in
-// the given direction, derived from the top MCS and full PRB allocation.
-func (c CellConfig) PeakSlotBytes(dir SlotDir) int {
-	mcs := MCSTable[len(MCSTable)-1]
-	tbs := TransportBlockSize(c.PRBs(), mcs, c.MaxLayers)
-	return tbs / 8 * c.MaxUEs / c.MaxUEs // per-slot ceiling shared across UEs
-}
-
 // Preset cell configurations matching the paper's Table 1/Table 2.
 //
 // Cells100MHz returns n 100 MHz TDD cells (µ=1, 0.5 ms slots, 4 antennas),

@@ -182,25 +182,6 @@ func TestPoissonNonNegative(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	r := New(14)
-	err := quick.Check(func(n uint8) bool {
-		m := int(n%64) + 1
-		p := r.Perm(m)
-		seen := make([]bool, m)
-		for _, v := range p {
-			if v < 0 || v >= m || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestUniformRange(t *testing.T) {
 	r := New(15)
 	for i := 0; i < 10000; i++ {

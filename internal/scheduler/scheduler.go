@@ -42,12 +42,6 @@ type PoolState struct {
 	RunningTasks int
 	// OldestReadyAge is how long the oldest ready task has waited.
 	OldestReadyAge sim.Time
-	// OffloadableReady is the subset of ReadyTasks eligible for accelerator
-	// offload (an accelerator is attached, the kind has a queue group, and
-	// the task has not exhausted its retry budget). These tasks occupy a
-	// core only for the submit window, so policies may discount them when
-	// sizing the allocation.
-	OffloadableReady int
 	// Utilization is the pool's recent core-utilization EWMA (0..1),
 	// measured over the allocated cores.
 	Utilization float64

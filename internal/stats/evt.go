@@ -104,19 +104,3 @@ func (g *GPD) Quantile(q float64) float64 {
 	}
 	return g.Threshold + g.Sigma/g.Xi*(math.Pow(ratio, -g.Xi)-1)
 }
-
-// SurvivalAbove returns the modeled P(X > x) for x above the threshold.
-func (g *GPD) SurvivalAbove(x float64) float64 {
-	if x <= g.Threshold {
-		return g.TailProb
-	}
-	z := (x - g.Threshold) / g.Sigma
-	if math.Abs(g.Xi) < 1e-9 {
-		return g.TailProb * math.Exp(-z)
-	}
-	base := 1 + g.Xi*z
-	if base <= 0 {
-		return 0
-	}
-	return g.TailProb * math.Pow(base, -1/g.Xi)
-}

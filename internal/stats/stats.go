@@ -39,17 +39,6 @@ func Variance(xs []float64) float64 {
 // StdDev returns the population standard deviation of xs.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
-// Min returns the smallest element of xs; it panics on empty input.
-func Min(xs []float64) float64 {
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
 // Max returns the largest element of xs; it panics on empty input.
 func Max(xs []float64) float64 {
 	m := xs[0]
@@ -231,27 +220,4 @@ func Correlation(x, y []float64) float64 {
 		return 0
 	}
 	return sxy / math.Sqrt(sxx*syy)
-}
-
-// Autocorrelation returns the lag-k sample autocorrelation of xs, the
-// burstiness measure used to validate the traffic generator's ms-scale
-// correlation (§2.2).
-func Autocorrelation(xs []float64, lag int) float64 {
-	n := len(xs)
-	if lag <= 0 || lag >= n {
-		return 0
-	}
-	m := Mean(xs)
-	var num, den float64
-	for i := 0; i < n; i++ {
-		d := xs[i] - m
-		den += d * d
-		if i+lag < n {
-			num += d * (xs[i+lag] - m)
-		}
-	}
-	if den == 0 {
-		return 0
-	}
-	return num / den
 }

@@ -181,6 +181,9 @@ type Trace struct {
 
 // GenerateTrace materializes slots TTIs.
 func GenerateTrace(cfg Config, slots int) (*Trace, error) {
+	if slots < 0 {
+		return nil, errors.New("traffic: negative slot count")
+	}
 	g, err := NewGenerator(cfg)
 	if err != nil {
 		return nil, err

@@ -148,6 +148,9 @@ func TestGenerateTraceErrors(t *testing.T) {
 	if _, err := GenerateTrace(Config{}, 10); err == nil {
 		t.Fatal("invalid config accepted")
 	}
+	if _, err := GenerateTrace(LTEReference(7, 1), -5); err == nil {
+		t.Fatal("negative slot count accepted")
+	}
 }
 
 func TestIdleFractionEmptyTrace(t *testing.T) {

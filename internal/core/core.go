@@ -226,12 +226,24 @@ func Profile(cells []ran.CellConfig, slots int, model *costmodel.Model, poolCore
 	r := rng.New(seed)
 	env := costmodel.Env{PoolCores: poolCores}
 	out := map[ran.TaskKind][]predictor.Sample{}
+	// One DAG and one allocator serve every slot: each DAG is recorded
+	// before the next is built into the same slab, and SlotAllocator draws
+	// from r exactly as AllocateSlot does.
+	var (
+		dag   ran.DAG
+		alloc ran.SlotAllocator
+	)
 	record := func(d *ran.DAG) {
-		if d == nil {
-			return
-		}
 		for _, t := range d.Tasks {
-			out[t.Kind] = append(out[t.Kind], predictor.Sample{
+			s := out[t.Kind]
+			if s == nil {
+				// Most kinds run at least once a slot, so each starts at
+				// slots entries instead of growing from empty. Past that,
+				// append's 1.25× steps: doubling copies less but keeps up to
+				// twice each kind's samples live through training.
+				s = make([]predictor.Sample, 0, slots)
+			}
+			out[t.Kind] = append(s, predictor.Sample{
 				Features: t.Features,
 				Runtime:  model.Sample(t.Kind, t.Features, env),
 			})
@@ -243,9 +255,9 @@ func Profile(cells []ran.CellConfig, slots int, model *costmodel.Model, poolCore
 		// per-slot ceiling, including empty slots.
 		ulPeak := 1 + r.Intn(64*1024)
 		dlPeak := 1 + r.Intn(128*1024)
-		record(ran.BuildUplinkDAG(cell, s, 0, sim.FromMs(2), ran.AllocateSlot(cell, ulPeak, r)))
-		record(ran.BuildDownlinkDAG(cell, s, 0, sim.FromMs(2), ran.AllocateSlot(cell, dlPeak, r)))
-		record(ran.BuildMACDAG(cell, s, 0, cell.Numerology.SlotDuration(), 1+r.Intn(cell.MaxUEs)))
+		record(ran.BuildUplinkDAGInto(&dag, cell, s, 0, sim.FromMs(2), alloc.Allocate(cell, ulPeak, r)))
+		record(ran.BuildDownlinkDAGInto(&dag, cell, s, 0, sim.FromMs(2), alloc.Allocate(cell, dlPeak, r)))
+		record(ran.BuildMACDAGInto(&dag, cell, s, 0, cell.Numerology.SlotDuration(), 1+r.Intn(cell.MaxUEs)))
 	}
 	return out
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"concordia/internal/costmodel"
+	"concordia/internal/pool"
 	"concordia/internal/ran"
 	"concordia/internal/sim"
 	"concordia/internal/traffic"
@@ -45,6 +46,24 @@ func TestTrainPredictorsProducesTrees(t *testing.T) {
 	pl := set.Predict(ran.TaskLDPCDecode, large)
 	if ps <= 0 || pl <= 0 || ps >= pl {
 		t.Fatalf("decode predictions not parameterized: %v vs %v", ps, pl)
+	}
+}
+
+var trainSink pool.PredictorSet
+
+// BenchmarkTrainPredictors times all of Algorithm 1 on one 20 MHz cell's
+// profile at the default length: feature selection and one quantile tree
+// for each task kind, on one worker.
+func BenchmarkTrainPredictors(b *testing.B) {
+	data := Profile(ran.Cells20MHz(1), DefaultTrainingSlots, costmodel.New(1), 8, 2)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		set, err := TrainPredictorsWorkers(data, 1.0, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		trainSink = set
 	}
 }
 

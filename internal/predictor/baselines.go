@@ -2,6 +2,7 @@ package predictor
 
 import (
 	"errors"
+	"sort"
 
 	"concordia/internal/ran"
 	"concordia/internal/sim"
@@ -275,6 +276,19 @@ func growRegTreeIdx(X [][]float64, y []float64, idx []int, depth, minLeaf int) *
 		left:      growRegTreeIdx(X, y, l, depth-1, minLeaf),
 		right:     growRegTreeIdx(X, y, r, depth-1, minLeaf),
 	}
+}
+
+// bestSplit sorts a node's values and scores its cuts with bestCut. Unlike
+// the quantile tree, boosting sorts every node afresh: its residuals are not
+// integers, so a prefix sum depends on the order of tied values, and
+// presorted columns would order ties differently from sort.Slice.
+func bestSplit(vals, resid []float64, minLeaf int) (gain, threshold float64, ok bool) {
+	order := make([]int, len(vals))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool { return vals[order[a]] < vals[order[b]] })
+	return bestCut(order, vals, resid, minLeaf)
 }
 
 func (t *regTree) predict(x []float64) float64 {

@@ -36,8 +36,12 @@ var HandPicked = map[ran.TaskKind][]ran.Feature{
 // topN, refine to keepM by backwards elimination against a linear model,
 // then union with the hand-picked features for the task.
 //
-// dcor is O(n²); the routine subsamples to at most dcorSamples observations,
-// as the paper's offline pandas/R pipeline effectively does.
+// dcor is O(n²), so above dcorSamples observations the routine keeps every
+// stride-th one, stride = len(data)/dcorSamples rounded down, as the paper's
+// offline pandas/R pipeline effectively subsamples. That keeps fewer than
+// 2·dcorSamples: 402 of 12 835 LDPC-decode samples at the default profiling
+// length, and every sample of a kind with 401–799.
+// A different stride would keep other samples and so change every tree.
 func SelectFeatures(kind ran.TaskKind, data []Sample, topN, keepM int) []ran.Feature {
 	const dcorSamples = 400
 	if topN <= 0 {

@@ -1,9 +1,10 @@
 package predictor
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"concordia/internal/ran"
@@ -22,9 +23,6 @@ type QuantileTree struct {
 	Kind   ran.TaskKind
 	root   *treeNode
 	leaves []*treeNode
-	// splitBudget is the number of additional splits allowed while growing
-	// (MaxLeaves - 1); each split turns one pending leaf into two.
-	splitBudget int
 	// Margin is a multiplicative safety factor applied to the leaf maximum;
 	// 1.0 reproduces Algorithm 2 exactly.
 	Margin float64
@@ -84,24 +82,83 @@ func TrainQuantileTree(kind ran.TaskKind, features []ran.Feature, data []Sample,
 	if len(features) == 0 {
 		return nil, errors.New("predictor: no features selected")
 	}
-	t := &QuantileTree{Kind: kind, Margin: cfg.Margin, splitBudget: cfg.MaxLeaves - 1}
-	idx := make([]int, len(data))
-	for i := range idx {
-		idx[i] = i
-	}
-	t.growBestFirst(data, idx, features, cfg)
+	t := &QuantileTree{Kind: kind, Margin: cfg.Margin}
+	t.growBestFirst(newGrower(data, features, cfg))
 	return t, nil
+}
+
+// grower holds one tree's training columns, each sorted once. Every
+// frontier node owns one segment [lo, hi) of order and of each sorted[k]:
+// order lists the node's samples in sample order, sorted[k] lists them by
+// feature k's value. A split partitions the node's segments stably in place,
+// so both children's segments keep those orders and no node sorts again.
+type grower struct {
+	data    []Sample
+	feats   []ran.Feature
+	cfg     TreeConfig
+	runtime []float64   // runtime[j]: sample j's runtime
+	cols    [][]float64 // cols[k][j]: sample j's value of feats[k]
+	order   []int
+	sorted  [][]int
+	scratch []int     // the right-going entries while a segment is partitioned
+	buf     []float64 // a node's runtimes in sample order
+}
+
+func newGrower(data []Sample, feats []ran.Feature, cfg TreeConfig) *grower {
+	n := len(data)
+	g := &grower{
+		data:    data,
+		feats:   feats,
+		cfg:     cfg,
+		runtime: make([]float64, n),
+		cols:    make([][]float64, len(feats)),
+		order:   make([]int, n),
+		sorted:  make([][]int, len(feats)),
+		scratch: make([]int, 0, n),
+		buf:     make([]float64, n),
+	}
+	for j, s := range data {
+		g.runtime[j] = float64(s.Runtime)
+		g.order[j] = j
+	}
+	// Ties are ordered by sample index, which makes the sort deterministic;
+	// no result depends on the order of tied samples (see bestCut).
+	type keyed struct {
+		v float64
+		j int
+	}
+	pairs := make([]keyed, n)
+	for k, f := range feats {
+		col := make([]float64, n)
+		for j, s := range data {
+			col[j] = s.Features.Get(f)
+			pairs[j] = keyed{col[j], j}
+		}
+		slices.SortFunc(pairs, func(a, b keyed) int {
+			if c := cmp.Compare(a.v, b.v); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.j, b.j)
+		})
+		idx := make([]int, n)
+		for i, p := range pairs {
+			idx[i] = p.j
+		}
+		g.cols[k] = col
+		g.sorted[k] = idx
+	}
+	return g
 }
 
 // candidate is a growable node with its precomputed best split.
 type candidate struct {
-	node  *treeNode
-	idx   []int
-	depth int
-	gain  float64
-	feat  ran.Feature
-	thr   float64
-	ok    bool
+	node   *treeNode
+	lo, hi int // the node's segment
+	depth  int
+	gain   float64
+	k      int // index of the split feature in grower.feats
+	thr    float64
+	ok     bool
 }
 
 // growBestFirst builds the tree by repeatedly splitting the frontier node
@@ -109,10 +166,10 @@ type candidate struct {
 // budget is exhausted or no split improves. Best-first order matters under
 // a global leaf cap: depth-first growth would spend the whole budget on one
 // corner of the feature space and leave coarse giant leaves elsewhere.
-func (t *QuantileTree) growBestFirst(data []Sample, rootIdx []int, feats []ran.Feature, cfg TreeConfig) {
+func (t *QuantileTree) growBestFirst(g *grower) {
 	t.root = &treeNode{}
-	frontier := []*candidate{t.evalCandidate(t.root, data, rootIdx, 0, feats, cfg)}
-	for t.splitBudget > 0 {
+	frontier := []*candidate{g.evalCandidate(t.root, 0, len(g.order), 0)}
+	for budget := g.cfg.MaxLeaves - 1; budget > 0; {
 		// Pick the best splittable candidate (frontier is small: ≤ leaves).
 		best := -1
 		for i, c := range frontier {
@@ -125,54 +182,72 @@ func (t *QuantileTree) growBestFirst(data []Sample, rootIdx []int, feats []ran.F
 		}
 		c := frontier[best]
 		frontier = append(frontier[:best], frontier[best+1:]...)
-		var leftIdx, rightIdx []int
-		for _, j := range c.idx {
-			if data[j].Features.Get(c.feat) <= c.thr {
-				leftIdx = append(leftIdx, j)
-			} else {
-				rightIdx = append(rightIdx, j)
+		col := g.cols[c.k]
+		nLeft := 0
+		for _, j := range g.order[c.lo:c.hi] {
+			if col[j] <= c.thr {
+				nLeft++
 			}
 		}
-		if len(leftIdx) < cfg.MinLeaf || len(rightIdx) < cfg.MinLeaf {
+		mid := c.lo + nLeft
+		if nLeft < g.cfg.MinLeaf || c.hi-mid < g.cfg.MinLeaf {
 			c.ok = false
 			frontier = append(frontier, c)
 			continue
 		}
-		t.splitBudget--
-		c.node.feature = c.feat
+		budget--
+		g.partition(g.order[c.lo:c.hi], col, c.thr)
+		for _, s := range g.sorted {
+			g.partition(s[c.lo:c.hi], col, c.thr)
+		}
+		c.node.feature = g.feats[c.k]
 		c.node.threshold = c.thr
 		c.node.left = &treeNode{}
 		c.node.right = &treeNode{}
 		frontier = append(frontier,
-			t.evalCandidate(c.node.left, data, leftIdx, c.depth+1, feats, cfg),
-			t.evalCandidate(c.node.right, data, rightIdx, c.depth+1, feats, cfg))
+			g.evalCandidate(c.node.left, c.lo, mid, c.depth+1),
+			g.evalCandidate(c.node.right, mid, c.hi, c.depth+1))
 	}
 	// Everything left on the frontier becomes a leaf.
 	for _, c := range frontier {
-		t.fillLeaf(c.node, data, c.idx)
+		t.fillLeaf(c.node, g.data, g.order[c.lo:c.hi], g.buf)
 	}
 }
 
-// evalCandidate computes the best split available at a node.
-func (t *QuantileTree) evalCandidate(n *treeNode, data []Sample, idx []int, depth int, feats []ran.Feature, cfg TreeConfig) *candidate {
-	c := &candidate{node: n, idx: idx, depth: depth}
-	if depth >= cfg.MaxDepth || len(idx) < 2*cfg.MinLeaf {
+// partition moves the samples of seg with col[j] <= thr ahead of the
+// others, keeping the order within each side.
+func (g *grower) partition(seg []int, col []float64, thr float64) {
+	right := g.scratch[:0]
+	l := 0
+	for _, j := range seg {
+		if col[j] <= thr {
+			seg[l] = j
+			l++
+		} else {
+			right = append(right, j)
+		}
+	}
+	copy(seg[l:], right)
+}
+
+// evalCandidate computes the best split available at the node owning the
+// segment [lo, hi).
+func (g *grower) evalCandidate(n *treeNode, lo, hi, depth int) *candidate {
+	c := &candidate{node: n, lo: lo, hi: hi, depth: depth}
+	size := hi - lo
+	if depth >= g.cfg.MaxDepth || size < 2*g.cfg.MinLeaf {
 		return c
 	}
-	runtime := make([]float64, len(idx))
-	for i, j := range idx {
-		runtime[i] = float64(data[j].Runtime)
+	runtime := g.buf[:size]
+	for i, j := range g.order[lo:hi] {
+		runtime[i] = g.runtime[j]
 	}
-	parentSSE := stats.Variance(runtime) * float64(len(idx))
-	vals := make([]float64, len(idx))
-	for _, f := range feats {
-		for i, j := range idx {
-			vals[i] = data[j].Features.Get(f)
-		}
-		gain, thresh, ok := bestSplit(vals, runtime, cfg.MinLeaf)
+	parentSSE := stats.Variance(runtime) * float64(size)
+	for k := range g.feats {
+		gain, thresh, ok := bestCut(g.sorted[k][lo:hi], g.cols[k], g.runtime, g.cfg.MinLeaf)
 		if ok && gain > c.gain {
 			c.gain = gain
-			c.feat = f
+			c.k = k
 			c.thr = thresh
 			c.ok = true
 		}
@@ -183,46 +258,45 @@ func (t *QuantileTree) evalCandidate(n *treeNode, data []Sample, idx []int, dept
 	return c
 }
 
-// bestSplit finds the threshold maximizing the weighted variance reduction
-// for one feature, scanning up to 32 candidate cut points.
-func bestSplit(vals, runtime []float64, minLeaf int) (gain, threshold float64, ok bool) {
-	n := len(vals)
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return vals[order[a]] < vals[order[b]] })
-
-	// Prefix sums over the sorted order for O(1) variance computation.
-	prefSum := make([]float64, n+1)
-	prefSq := make([]float64, n+1)
-	for i, j := range order {
+// bestCut finds the threshold maximizing the weighted variance reduction
+// for one feature, scanning up to 32 candidate cut positions. order lists
+// the node's samples by ascending vals; vals and runtime are indexed by its
+// entries. The sums add runtimes in order's sequence. When the runtimes are
+// integers whose squares sum below 2^53, every partial sum is exact, so the
+// sums at a cut between distinct values (the only cuts scored) are the same
+// whatever order tied samples come in.
+func bestCut(order []int, vals, runtime []float64, minLeaf int) (gain, threshold float64, ok bool) {
+	n := len(order)
+	var total, totalSq float64
+	for _, j := range order {
 		r := runtime[j]
-		prefSum[i+1] = prefSum[i] + r
-		prefSq[i+1] = prefSq[i] + r*r
+		total += r
+		totalSq += r * r
 	}
-	total := prefSum[n]
-	totalSq := prefSq[n]
 	parentSSE := totalSq - total*total/float64(n)
 
 	best := -1.0
 	bestT := 0.0
 	// Candidate cut positions: every minLeaf-respecting boundary between
 	// distinct values, subsampled to 32.
-	step := n / 32
-	if step < 1 {
-		step = 1
-	}
-	for i := minLeaf; i <= n-minLeaf; i += step {
-		vLeft := vals[order[i-1]]
-		vRight := vals[order[i]]
+	step := max(n/32, 1)
+	var sum, sumSq float64 // over order[:i]
+	i := 0
+	for cut := minLeaf; cut <= n-minLeaf; cut += step {
+		for ; i < cut; i++ {
+			r := runtime[order[i]]
+			sum += r
+			sumSq += r * r
+		}
+		vLeft := vals[order[cut-1]]
+		vRight := vals[order[cut]]
 		if vLeft == vRight {
 			continue
 		}
-		nl, nr := float64(i), float64(n-i)
-		sseL := prefSq[i] - prefSum[i]*prefSum[i]/nl
-		sumR := total - prefSum[i]
-		sseR := (totalSq - prefSq[i]) - sumR*sumR/nr
+		nl, nr := float64(cut), float64(n-cut)
+		sseL := sumSq - sum*sum/nl
+		sumR := total - sum
+		sseR := (totalSq - sumSq) - sumR*sumR/nr
 		g := parentSSE - sseL - sseR
 		if g > best {
 			best = g
@@ -235,14 +309,16 @@ func bestSplit(vals, runtime []float64, minLeaf int) (gain, threshold float64, o
 	return best, bestT, true
 }
 
-func (t *QuantileTree) fillLeaf(n *treeNode, data []Sample, idx []int) {
+// fillLeaf turns n into the next leaf, seeding its ring with the runtimes of
+// the samples idx lists, in that order; buf has room for len(idx) values.
+func (t *QuantileTree) fillLeaf(n *treeNode, data []Sample, idx []int, buf []float64) {
 	n.leaf = true
 	n.leafID = len(t.leaves)
 	n.ring = NewRingBuffer(DefaultRingSize)
-	var runtimes []float64
-	for _, j := range idx {
+	runtimes := buf[:len(idx)]
+	for i, j := range idx {
 		n.ring.Push(data[j].Runtime)
-		runtimes = append(runtimes, float64(data[j].Runtime))
+		runtimes[i] = float64(data[j].Runtime)
 	}
 	n.nTrain = len(idx)
 	n.meanT = stats.Mean(runtimes)

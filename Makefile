@@ -75,8 +75,9 @@ poolcheck:
 	$(GO) test -tags poolcheck -timeout 30m -run 'TestExperimentsWorkerDeterminism/(fig4a|fig4b|chaos|predcal|accelsweep)' .
 
 # fuzz runs every fuzz target for FUZZTIME each: the parsers of user input
-# (the -faults spec, a traffic trace, an events CSV) and the Chrome trace
-# exporter against its encoding/json reference. go test fuzzes one target
+# (the -faults spec, a traffic trace, an events CSV), the Chrome trace
+# exporter against its encoding/json reference and the latency tail
+# recorder against its sorted-insertion reference. go test fuzzes one target
 # per invocation, hence one line each. A failing input is saved under the
 # package's testdata/fuzz/ and replayed by every later `go test`.
 FUZZTIME ?= 10s
@@ -85,6 +86,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime $(FUZZTIME) ./internal/traffic
 	$(GO) test -run '^$$' -fuzz '^FuzzReadEventsCSV$$' -fuzztime $(FUZZTIME) ./internal/telemetry
 	$(GO) test -run '^$$' -fuzz '^FuzzChromeTrace$$' -fuzztime $(FUZZTIME) ./internal/telemetry
+	$(GO) test -run '^$$' -fuzz '^FuzzTailRecorder$$' -fuzztime $(FUZZTIME) ./internal/stats
 
 # One regeneration pass per paper table/figure, with timing and allocation
 # stats, distilled into BENCH_pool.json (schema in EXPERIMENTS.md) so the

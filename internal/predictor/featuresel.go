@@ -114,6 +114,9 @@ func SelectFeatures(kind ran.TaskKind, data []Sample, topN, keepM int) []ran.Fea
 
 func backwardsEliminate(data []Sample, y []float64, feats []ran.Feature, keep int) []ran.Feature {
 	current := append([]ran.Feature(nil), feats...)
+	// Every trial builds its design matrix in the same two buffers.
+	X := make([][]float64, len(data))
+	cells := make([]float64, len(data)*len(feats))
 	for len(current) > keep {
 		bestR2 := -1.0
 		bestDrop := -1
@@ -121,7 +124,7 @@ func backwardsEliminate(data []Sample, y []float64, feats []ran.Feature, keep in
 			trial := make([]ran.Feature, 0, len(current)-1)
 			trial = append(trial, current[:drop]...)
 			trial = append(trial, current[drop+1:]...)
-			r2 := fitR2(data, y, trial)
+			r2 := fitR2(X, cells, data, y, trial)
 			if r2 > bestR2 {
 				bestR2 = r2
 				bestDrop = drop
@@ -135,13 +138,20 @@ func backwardsEliminate(data []Sample, y []float64, feats []ran.Feature, keep in
 	return current
 }
 
-func fitR2(data []Sample, y []float64, feats []ran.Feature) float64 {
+// fitR2 returns the R² of the OLS fit of y on feats. It builds the design
+// matrix in X, one row per sample, with row i at cells[i*k : (i+1)*k] for
+// k = len(feats); cells must hold len(data)*k values.
+func fitR2(X [][]float64, cells []float64, data []Sample, y []float64, feats []ran.Feature) float64 {
 	if len(feats) == 0 {
 		return 0
 	}
-	X := make([][]float64, len(data))
-	for i, s := range data {
-		X[i] = s.Features.Select(feats)
+	k := len(feats)
+	for i := range data {
+		row := cells[i*k : (i+1)*k]
+		for j, f := range feats {
+			row[j] = data[i].Features[f]
+		}
+		X[i] = row
 	}
 	m, err := stats.FitOLS(X, y)
 	if err != nil {

@@ -330,7 +330,7 @@ func (t *QuantileTree) fillLeaf(n *treeNode, data []Sample, idx []int, buf []flo
 func (t *QuantileTree) findLeaf(f ran.FeatureVector) *treeNode {
 	n := t.root
 	for !n.leaf {
-		if f.Get(n.feature) <= n.threshold {
+		if f[n.feature] <= n.threshold {
 			n = n.left
 		} else {
 			n = n.right

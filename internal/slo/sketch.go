@@ -2,11 +2,11 @@
 // quantile sketches over task/DAG latency and deadline slack, a
 // virtual-time windowed aggregation engine keyed by (cell, server, slice)
 // with per-fault-class miss counters, and latency-quantile / error-budget
-// objectives evaluated with multi-window burn-rate rules. Where the PR 3
-// tracer and the PR 5 autopsy explain a run after it ends, this package
+// objectives evaluated with multi-window burn-rate rules. Where the
+// tracer and the autopsy explain a run after it ends, this package
 // answers "are we burning the error budget right now?" while the run is
-// still in flight — the data plane ROADMAP item 4's closed-loop controller
-// consumes.
+// still in flight — the data plane an SLO-driven closed-loop controller
+// would consume (a deferred ROADMAP item).
 //
 // Everything follows the repo's determinism contract (DESIGN.md §5b): no
 // host clock, virtual timestamps only, sorted iteration, and serial

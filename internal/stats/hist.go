@@ -3,6 +3,7 @@ package stats
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"strings"
 )
 
@@ -136,7 +137,8 @@ func (r *Reservoir) Seen() uint64 { return r.seen }
 type TailRecorder struct {
 	count     uint64
 	keepTop   int
-	top       []float64 // min-heap-free: kept sorted ascending, bounded
+	top       []float64 // min-heap of the keepTop largest samples; top[0] is the smallest
+	max       float64
 	reservoir *Reservoir
 }
 
@@ -146,40 +148,69 @@ func NewTailRecorder(keepTop, bodyCap int, randInt func(n int) int) *TailRecorde
 	return &TailRecorder{keepTop: keepTop, reservoir: NewReservoir(bodyCap, randInt)}
 }
 
-// Observe records a sample.
+// Observe records a sample. Once keepTop samples are kept, a sample larger
+// than the smallest kept one replaces it, so the kept multiset is always
+// the keepTop largest samples seen.
 func (t *TailRecorder) Observe(v float64) {
 	t.count++
 	t.reservoir.Observe(v)
+	if t.count == 1 || v > t.max {
+		t.max = v
+	}
 	if len(t.top) < t.keepTop {
-		t.insertTop(v)
+		t.top = append(t.top, v)
+		t.siftUp(len(t.top) - 1)
 		return
 	}
 	if v > t.top[0] {
 		t.top[0] = v
-		// restore sortedness: single insertion
-		for i := 1; i < len(t.top) && t.top[i] < t.top[i-1]; i++ {
-			t.top[i], t.top[i-1] = t.top[i-1], t.top[i]
-		}
+		t.siftDown(0)
 	}
 }
 
-func (t *TailRecorder) insertTop(v float64) {
-	i := 0
-	for i < len(t.top) && t.top[i] < v {
-		i++
+// siftUp moves top[i] towards the root until its parent is no larger.
+func (t *TailRecorder) siftUp(i int) {
+	h := t.top
+	v := h[i]
+	for i > 0 {
+		p := (i - 1) / 2
+		if !(v < h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
 	}
-	t.top = append(t.top, 0)
-	copy(t.top[i+1:], t.top[i:])
-	t.top[i] = v
+	h[i] = v
+}
+
+// siftDown moves top[i] towards the leaves until no child is smaller.
+func (t *TailRecorder) siftDown(i int) {
+	h := t.top
+	v := h[i]
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if r := c + 1; r < len(h) && h[r] < h[c] {
+			c = r
+		}
+		if !(h[c] < v) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = v
 }
 
 // Count returns the number of observed samples.
 func (t *TailRecorder) Count() uint64 { return t.count }
 
 // Quantile returns the q-quantile. For q in the exactly-tracked tail region
-// it is exact; otherwise it falls back to the body reservoir. q is clamped
-// to [0,1] (q > 1 used to produce a negative rank and an out-of-range index
-// into the tail buffer); the quantile of an empty recorder is 0.
+// it is exact, read from a sorted copy of the kept samples; otherwise it
+// falls back to the body reservoir. q is clamped to [0,1]; the quantile of
+// an empty recorder is 0.
 func (t *TailRecorder) Quantile(q float64) float64 {
 	n := t.count
 	if n == 0 {
@@ -194,19 +225,12 @@ func (t *TailRecorder) Quantile(q float64) float64 {
 	// rank counts how many samples are >= the answer.
 	rank := float64(n) * (1 - q)
 	if int(rank) < len(t.top) {
-		idx := len(t.top) - 1 - int(rank)
-		if idx < 0 {
-			idx = 0
-		}
-		return t.top[idx]
+		sorted := slices.Clone(t.top)
+		slices.Sort(sorted)
+		return sorted[len(sorted)-1-int(rank)]
 	}
 	return Quantile(t.reservoir.Samples(), q)
 }
 
 // Max returns the largest observed sample, or 0 when empty.
-func (t *TailRecorder) Max() float64 {
-	if len(t.top) == 0 {
-		return 0
-	}
-	return t.top[len(t.top)-1]
-}
+func (t *TailRecorder) Max() float64 { return t.max }

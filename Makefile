@@ -62,22 +62,25 @@ check: lint
 
 # poolcheck is the dynamic memory-discipline gate (DESIGN.md §5g): rebuild
 # the freelist owners with the sanitizer compiled in (generation side tables,
-# poison-on-free, slab canaries), run their full suites, then drive the
-# sanitized pool through a slice of the determinism sweep — the chaos and
-# predcal experiments stress recycling hardest (fault retries, abandoned
-# DAGs, storm yields), and accelsweep drives the batched offload path, where
-# followers leave the ready heap and take a run reference when submitted.
-# Any use-after-recycle panics with the owning release seq instead of
-# corrupting results. Keep the determinism regex identical to the CI job's.
+# poison-on-free, slab canaries), run their full suites and the fleet's (the
+# one caller that reuses a pool Arena across runs), then drive the sanitized
+# pool through a slice of the determinism sweep — the chaos and predcal
+# experiments stress recycling hardest (fault retries, abandoned DAGs, storm
+# yields), accelsweep drives the batched offload path, where followers leave
+# the ready heap and take a run reference when submitted, and fleet hands
+# every server's arena from epoch to epoch. Any use-after-recycle panics
+# with the owning release seq instead of corrupting results. Keep the
+# determinism regex identical to the CI job's.
 poolcheck:
-	$(GO) vet -tags poolcheck ./internal/pool ./internal/sim ./internal/ran
-	$(GO) test -tags poolcheck -timeout 20m ./internal/pool ./internal/sim ./internal/ran
-	$(GO) test -tags poolcheck -timeout 30m -run 'TestExperimentsWorkerDeterminism/(fig4a|fig4b|chaos|predcal|accelsweep)' .
+	$(GO) vet -tags poolcheck ./internal/pool ./internal/sim ./internal/ran ./internal/fleet
+	$(GO) test -tags poolcheck -timeout 20m ./internal/pool ./internal/sim ./internal/ran ./internal/fleet
+	$(GO) test -tags poolcheck -timeout 30m -run 'TestExperimentsWorkerDeterminism/(fig4a|fig4b|chaos|predcal|accelsweep|fleet)' .
 
 # fuzz runs every fuzz target for FUZZTIME each: the parsers of user input
 # (the -faults spec, a traffic trace, an events CSV), the Chrome trace
-# exporter against its encoding/json reference and the latency tail
-# recorder against its sorted-insertion reference. go test fuzzes one target
+# exporter against its encoding/json reference, the latency tail recorder
+# against its sorted-insertion reference and the on-demand leaf ring against
+# its fixed-capacity reference. go test fuzzes one target
 # per invocation, hence one line each. A failing input is saved under the
 # package's testdata/fuzz/ and replayed by every later `go test`.
 FUZZTIME ?= 10s
@@ -87,6 +90,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadEventsCSV$$' -fuzztime $(FUZZTIME) ./internal/telemetry
 	$(GO) test -run '^$$' -fuzz '^FuzzChromeTrace$$' -fuzztime $(FUZZTIME) ./internal/telemetry
 	$(GO) test -run '^$$' -fuzz '^FuzzTailRecorder$$' -fuzztime $(FUZZTIME) ./internal/stats
+	$(GO) test -run '^$$' -fuzz '^FuzzRingBuffer$$' -fuzztime $(FUZZTIME) ./internal/predictor
 
 # One regeneration pass per paper table/figure, with timing and allocation
 # stats, distilled into BENCH_pool.json (schema in EXPERIMENTS.md) so the

@@ -60,7 +60,7 @@ func main() {
 	before := tree.Predict(probe)
 	for i := 0; i < 20000; i++ {
 		s := decode[i%len(decode)]
-		tree.Observe(s.Features, model.Sample(ran.TaskLDPCDecode, s.Features, inter))
+		tree.Observe(s.Features, model.Sample(ran.TaskLDPCDecode, &s.Features, inter))
 	}
 	after := tree.Predict(probe)
 	fmt.Printf("WCET(8 codeblocks, 15 dB): %v isolated -> %v under interference\n", before, after)

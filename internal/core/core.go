@@ -108,6 +108,11 @@ type Config struct {
 	// (counted as a dropped miss). Chaos runs enable it so one faulted slot
 	// cannot cascade into its successors.
 	DropLateDAGs bool
+	// Arena, when non-nil, lends the pool its memory, which Run hands back
+	// (pool.Arena): systems built and run one after another on one Arena
+	// reuse it. The report Run returns is valid until the Arena's next
+	// NewSystem.
+	Arena *pool.Arena
 }
 
 // Ablation switches off individual Concordia mechanisms so their
@@ -245,7 +250,7 @@ func Profile(cells []ran.CellConfig, slots int, model *costmodel.Model, poolCore
 			}
 			out[t.Kind] = append(s, predictor.Sample{
 				Features: t.Features,
-				Runtime:  model.Sample(t.Kind, t.Features, env),
+				Runtime:  model.Sample(t.Kind, &t.Features, env),
 			})
 		}
 	}
@@ -380,6 +385,7 @@ func NewSystem(cfg Config) (*System, error) {
 		SLO:             sloTracker,
 		Faults:          cfg.Faults,
 		DropLateDAGs:    cfg.DropLateDAGs,
+		Arena:           cfg.Arena,
 	}
 	if err := pcfg.Validate(); err != nil {
 		return nil, err

@@ -84,18 +84,19 @@ func InterferenceInflation(interference float64) float64 {
 }
 
 // meanUs returns the calibrated expected runtime in microseconds, excluding
-// platform multipliers.
-func meanUs(kind ran.TaskKind, f ran.FeatureVector) float64 {
-	tbs := f.Get(ran.FTBSBits)
-	cbs := f.Get(ran.FCodeblocks)
-	prbs := f.Get(ran.FPRBs)
-	ants := f.Get(ran.FAntennas)
-	layers := f.Get(ran.FLayers)
+// platform multipliers. It indexes f in place: the 96 B vector is read, not
+// copied.
+func meanUs(kind ran.TaskKind, f *ran.FeatureVector) float64 {
+	tbs := f[ran.FTBSBits]
+	cbs := f[ran.FCodeblocks]
+	prbs := f[ran.FPRBs]
+	ants := f[ran.FAntennas]
+	layers := f[ran.FLayers]
 	if layers < 1 {
 		layers = 1
 	}
-	snr := f.Get(ran.FSNRdB)
-	ues := f.Get(ran.FNumUEs)
+	snr := f[ran.FSNRdB]
+	ues := f[ran.FNumUEs]
 
 	switch kind {
 	case ran.TaskFFT, ran.TaskIFFT:
@@ -146,8 +147,9 @@ func meanUs(kind ran.TaskKind, f ran.FeatureVector) float64 {
 	}
 }
 
-// Mean returns the deterministic expected runtime of a task under env.
-func (m *Model) Mean(kind ran.TaskKind, f ran.FeatureVector, env Env) sim.Time {
+// Mean returns the deterministic expected runtime of a task with features f
+// under env.
+func (m *Model) Mean(kind ran.TaskKind, f *ran.FeatureVector, env Env) sim.Time {
 	us := meanUs(kind, f) * m.Scale
 	us *= StallPenalty(env.PoolCores)
 	us *= InterferenceInflation(env.Interference)
@@ -180,7 +182,7 @@ const (
 // Sample draws one stochastic runtime for a task under env using the
 // model's own noise stream. Like that stream, it is not safe for concurrent
 // use; parallel sample sweeps use SampleWith with per-shard substreams.
-func (m *Model) Sample(kind ran.TaskKind, f ran.FeatureVector, env Env) sim.Time {
+func (m *Model) Sample(kind ran.TaskKind, f *ran.FeatureVector, env Env) sim.Time {
 	return m.SampleWith(m.rand, kind, f, env)
 }
 
@@ -190,7 +192,7 @@ func (m *Model) Sample(kind ran.TaskKind, f ran.FeatureVector, env Env) sim.Time
 // number of goroutines may call SampleWith on one Model concurrently as
 // long as each holds its own stream — the contract parallel experiment
 // shards rely on (see rng.Substream).
-func (m *Model) SampleWith(r *rng.Rand, kind ran.TaskKind, f ran.FeatureVector, env Env) sim.Time {
+func (m *Model) SampleWith(r *rng.Rand, kind ran.TaskKind, f *ran.FeatureVector, env Env) sim.Time {
 	mean := float64(m.Mean(kind, f, env))
 	sigma := bodySigma(kind)
 	// Lognormal body normalized to unit mean.

@@ -9,8 +9,8 @@ import (
 	"concordia/internal/stats"
 )
 
-func decodeFeatures(cbs int, snr float64) ran.FeatureVector {
-	var f ran.FeatureVector
+func decodeFeatures(cbs int, snr float64) *ran.FeatureVector {
+	f := new(ran.FeatureVector)
 	f.Set(ran.FCodeblocks, float64(cbs))
 	f.Set(ran.FSNRdB, snr)
 	f.Set(ran.FTBSBits, float64(cbs*8448))
@@ -150,7 +150,7 @@ func TestInterferenceHeavyTail(t *testing.T) {
 
 func TestAllKindsPositive(t *testing.T) {
 	m := New(4)
-	var f ran.FeatureVector
+	f := new(ran.FeatureVector)
 	f.Set(ran.FPRBs, 100)
 	f.Set(ran.FAntennas, 4)
 	f.Set(ran.FLayers, 2)

@@ -92,7 +92,7 @@ func RunCalibration(o Options) (*CalibrationResult, error) {
 		f.Set(ran.FCodeblocks, float64(cbs))
 		f.Set(ran.FSNRdB, 10)
 		res.ModelUs = append(res.ModelUs,
-			model.Mean(ran.TaskLDPCDecode, f, costmodel.Env{PoolCores: 1}).Us())
+			model.Mean(ran.TaskLDPCDecode, &f, costmodel.Env{PoolCores: 1}).Us())
 	}
 	// SNR scaling: mean iterations at fixed size.
 	for _, snr := range res.SNRs {

@@ -60,7 +60,7 @@ func RunFig6LDPCScaling(o Options) (*Fig6Result, error) {
 			f.Set(ran.FCodeblocks, float64(cbs))
 			f.Set(ran.FSNRdB, r.Uniform(10, 28))
 			f.Set(ran.FTBSBits, float64(cbs*8448))
-			samples[ci][i] = model.SampleWith(r, ran.TaskLDPCDecode, f, env).Us()
+			samples[ci][i] = model.SampleWith(r, ran.TaskLDPCDecode, &f, env).Us()
 		}
 		return nil
 	})
@@ -155,7 +155,7 @@ func RunFig7Leaves(o Options) (*Fig7Result, error) {
 				f.Set(ran.FCodeblocks, float64(cbs))
 				f.Set(ran.FSNRdB, r.Uniform(0, 32))
 				f.Set(ran.FTBSBits, float64(cbs*8448))
-				out[i] = predictor.Sample{Features: f, Runtime: model.SampleWith(r, ran.TaskLDPCDecode, f, env)}
+				out[i] = predictor.Sample{Features: f, Runtime: model.SampleWith(r, ran.TaskLDPCDecode, &f, env)}
 			}
 			return nil
 		})

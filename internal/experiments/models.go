@@ -81,7 +81,7 @@ func genKindSamples(kind ran.TaskKind, n int, cells int, env costmodel.Env, mode
 			}
 			out = append(out, predictor.Sample{
 				Features: t.Features,
-				Runtime:  model.SampleWith(r, kind, t.Features, env),
+				Runtime:  model.SampleWith(r, kind, &t.Features, env),
 			})
 			if len(out) == n {
 				break

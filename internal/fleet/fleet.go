@@ -107,15 +107,26 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// validate checks the defaulted config before any trace is generated or
+// predictor trained.
 func (c Config) validate() error {
 	if c.Cells <= 0 || c.Servers <= 0 {
 		return errors.New("fleet: need at least one cell and one server")
+	}
+	if c.CoresPerServer < 1 {
+		return fmt.Errorf("fleet: %d cores per server, need at least one", c.CoresPerServer)
 	}
 	if !(c.Load > 0 && c.Load <= 1) { // NaN fails too
 		return errors.New("fleet: load must be in (0, 1]")
 	}
 	if c.Epochs < 1 {
 		return errors.New("fleet: need at least one epoch")
+	}
+	if c.FronthaulBudget < 0 {
+		return fmt.Errorf("fleet: negative fronthaul budget %v", c.FronthaulBudget)
+	}
+	if c.TrainingSlots < 0 {
+		return fmt.Errorf("fleet: negative training slot count %d", c.TrainingSlots)
 	}
 	if c.ForceMigrateEpoch >= c.Epochs {
 		return fmt.Errorf("fleet: force-migrate epoch %d outside run of %d epochs", c.ForceMigrateEpoch, c.Epochs)
@@ -280,6 +291,11 @@ func Run(cfg Config) (*Result, error) {
 	pressure := make([]float64, cfg.Servers)
 	epochDemand := make([]float64, cfg.Cells)
 	epochDur := sim.Time(epochSlots) * slotDur
+	// Server s runs on arenas[s] in every epoch, whichever worker simulates
+	// it, so its pools reuse one run table, freelist and report storage. An
+	// epoch's reports are read in the serial reduction below, before the
+	// next epoch's New resets them.
+	arenas := make([]pool.Arena, cfg.Servers)
 
 	for e := 0; e < cfg.Epochs; e++ {
 		epochStart := sim.Time(e*epochSlots) * slotDur
@@ -309,7 +325,7 @@ func Run(cfg Config) (*Result, error) {
 			if len(cellsOf[s]) == 0 {
 				return serverEpoch{}, nil
 			}
-			return runServerEpoch(cfg, preds, s, epoch, epochStart, cellsOf[s], ul, dl, lo, hi, epochDur)
+			return runServerEpoch(cfg, preds, &arenas[s], s, epoch, epochStart, cellsOf[s], ul, dl, lo, hi, epochDur)
 		})
 		if err != nil {
 			return nil, err
@@ -389,9 +405,9 @@ func Run(cfg Config) (*Result, error) {
 }
 
 // runServerEpoch simulates one server for one epoch: a fresh Concordia
-// system over the server's current cell subset, replaying the global
-// traces' column slice, seeded from the (epoch, server) substream.
-func runServerEpoch(cfg Config, preds pool.PredictorSet, s, epoch int, epochStart sim.Time,
+// system on the server's arena over its current cell subset, replaying the
+// global traces' column slice, seeded from the (epoch, server) substream.
+func runServerEpoch(cfg Config, preds pool.PredictorSet, arena *pool.Arena, s, epoch int, epochStart sim.Time,
 	cells []int, ul, dl *traffic.Trace, lo, hi int, epochDur sim.Time) (serverEpoch, error) {
 	subUL := sliceTrace(ul, cells, lo, hi)
 	subDL := sliceTrace(dl, cells, lo, hi)
@@ -408,6 +424,7 @@ func runServerEpoch(cfg Config, preds pool.PredictorSet, s, epoch int, epochStar
 	// Abandon a DAG once its deadline passes so one overloaded slot cannot
 	// cascade across the epoch boundary; drops still count as misses.
 	cc.DropLateDAGs = true
+	cc.Arena = arena
 	var rec *telemetry.Recorder
 	if cfg.Telemetry != nil {
 		rec = telemetry.New(telemetry.Options{TraceCapacity: serverTraceCapacity(len(cells), hi-lo)})

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -176,6 +177,31 @@ func TestBadLoadRejected(t *testing.T) {
 		if _, err := Run(cfg); err == nil {
 			t.Errorf("load %v accepted", load)
 		}
+	}
+}
+
+// A config that can never run is refused by validate, before any trace is
+// generated or predictor trained: Predictors is left nil, so a refusal that
+// came later would carry training's or the pool's message instead.
+func TestInvalidConfigRejected(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		edit func(*Config)
+		want string
+	}{
+		{"negative cores per server", func(c *Config) { c.CoresPerServer = -1 }, "fleet: -1 cores per server"},
+		{"negative training slots", func(c *Config) { c.TrainingSlots = -5 }, "fleet: negative training slot count -5"},
+		{"negative fronthaul budget", func(c *Config) { c.FronthaulBudget = -sim.Microsecond }, "fleet: negative fronthaul budget"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testConfig()
+			cfg.Predictors = nil
+			tc.edit(&cfg)
+			_, err := Run(cfg)
+			if err == nil || !strings.HasPrefix(err.Error(), tc.want) {
+				t.Fatalf("error %v, want one starting %q", err, tc.want)
+			}
+		})
 	}
 }
 

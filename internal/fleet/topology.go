@@ -39,11 +39,9 @@ const (
 )
 
 // NewTopology places cells uniformly and servers on a jittered grid, both
-// drawn from substreams of seed, and precomputes the fronthaul matrix.
+// drawn from substreams of seed, and precomputes the fronthaul matrix for
+// the given budget.
 func NewTopology(cells, servers int, budget sim.Time, seed uint64) *Topology {
-	if budget <= 0 {
-		budget = DefaultFronthaulBudget
-	}
 	t := &Topology{
 		Cells:    cells,
 		Servers:  servers,

@@ -166,7 +166,7 @@ func TestWorkloadThroughputNoBestEffortTimeNotNaN(t *testing.T) {
 	// compute preemptions/0 = NaN and propagate it through the disruption
 	// index into the throughput figure.
 	cfg := testConfig(scheduler.NewConcordia(), workloads.Redis, 20)
-	r := newReport(cfg)
+	r := newReport(cfg, nil)
 	r.workloadCoreSeconds[workloads.Redis] = 10
 	r.BestEffortCoreSeconds = 0
 	r.Preemptions = 0

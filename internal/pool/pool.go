@@ -62,7 +62,7 @@ type OraclePredictors struct {
 
 // Predict implements Predictors.
 func (o OraclePredictors) Predict(kind ran.TaskKind, f ran.FeatureVector) sim.Time {
-	return sim.Time(float64(o.Model.Mean(kind, f, o.Env)) * o.Margin)
+	return sim.Time(float64(o.Model.Mean(kind, &f, o.Env)) * o.Margin)
 }
 
 // Observe implements Predictors (the oracle does not learn).
@@ -143,6 +143,12 @@ type Config struct {
 	// its own substream — it never touches the pool's RNG — so a nil or
 	// all-zero config leaves every existing output byte-identical.
 	Faults *faults.Config
+	// Arena, when non-nil, lends the pool its run table, DAG freelist,
+	// scratch buffers and report storage, and gets them back when Run
+	// returns, so pools built one after another on one Arena reuse them
+	// (DESIGN.md §5f). The returned Report is valid until the Arena's next
+	// New. Nil gives the pool memory of its own.
+	Arena *Arena
 }
 
 // Validate reports the first problem that would stop the configuration from
@@ -175,6 +181,9 @@ func (c *Config) Validate() error {
 	}
 	if c.PeakULBytes <= 0 || c.PeakDLBytes <= 0 {
 		return errors.New("pool: peak slot bytes must be positive")
+	}
+	if c.Arena != nil && c.Arena.lent {
+		return errArenaLent
 	}
 	return nil
 }
@@ -369,7 +378,6 @@ type Pool struct {
 
 	slotIndex int
 
-	report  *Report
 	lastAcc sim.Time // last core-time accounting timestamp
 
 	// utilization EWMA for the utilization-based scheduler.
@@ -407,19 +415,9 @@ type Pool struct {
 	kOffloadTimeout   sim.EventKind
 	kCoreAwake        sim.EventKind
 
-	// runTable/freeRuns implement the dagRun freelist; freeDAGs recycles the
-	// slot-scoped *ran.DAG graphs (slabs, Deps/Succs capacity and all).
-	runTable []*dagRun
-	freeRuns []int32
-	freeDAGs []*ran.DAG
-	// slotAlloc reuses the per-slot UE allocation buffers.
-	slotAlloc ran.SlotAllocator
-	// stDAGs is the schedulerState scratch; policies must not retain it.
-	stDAGs []scheduler.DAGState
-
-	// pc is the poolcheck sanitizer state (DESIGN.md §5g): empty struct and
-	// no-op hooks unless built with -tags poolcheck.
-	pc poolPC
+	// arenaMem holds the freelists, scratch, report and sanitizer state
+	// borrowed from cfg.Arena until Run returns.
+	arenaMem
 }
 
 // New validates the configuration and builds the pool.
@@ -457,16 +455,21 @@ func New(cfg Config) (*Pool, error) {
 	if cfg.StaticPartition {
 		nq = len(cfg.Cells)
 	}
-	p := &Pool{
-		cfg:    cfg,
-		eng:    sim.NewEngine(),
-		rand:   root,
-		ulTraf: ul,
-		dlTraf: dl,
-		cores:  make([]core, cfg.PoolCores),
-		queues: make([]readyQueue, nq),
-		report: newReport(cfg),
+	if cfg.Arena == nil {
+		cfg.Arena = new(Arena)
 	}
+	p := &Pool{
+		cfg:      cfg,
+		eng:      sim.NewEngine(),
+		rand:     root,
+		ulTraf:   ul,
+		dlTraf:   dl,
+		cores:    make([]core, cfg.PoolCores),
+		queues:   make([]readyQueue, nq),
+		arenaMem: cfg.Arena.mem,
+	}
+	cfg.Arena.mem, cfg.Arena.lent = arenaMem{}, true
+	p.report = newReport(cfg, p.report)
 	p.kTaskDone = p.eng.RegisterKind(func(a, _ int64) { p.onTaskDone(int(a)) })
 	p.kOffloadSubmitted = p.eng.RegisterKind(func(a, _ int64) { p.onOffloadSubmitted(int(a)) })
 	p.kOffloadDone = p.eng.RegisterKind(func(a, b int64) {
@@ -495,8 +498,13 @@ func New(cfg Config) (*Pool, error) {
 }
 
 // Run executes the simulation for the given duration and returns the
-// accumulated report.
+// accumulated report, valid until the next New on the pool's Arena. Then it
+// hands the pool's memory back to the Arena, so a Pool runs once: a second
+// Run panics.
 func (p *Pool) Run(duration sim.Time) *Report {
+	if p.report == nil {
+		panic("pool: Run called twice; a Pool runs once and hands its memory back to its Arena when Run returns")
+	}
 	slotDur := p.cfg.Cells[0].Numerology.SlotDuration()
 	sim.NewTicker(p.eng, 0, slotDur, p.onSlot)
 	sim.NewTicker(p.eng, 0, p.cfg.Scheduler.Interval(), p.onSchedulerTick)
@@ -522,7 +530,9 @@ func (p *Pool) Run(duration sim.Time) *Report {
 		p.report.Faults.Stats = p.flt.Stats()
 	}
 	p.report.Duration = duration
-	return p.report
+	rep := p.report
+	p.handBack()
+	return rep
 }
 
 // interference returns the effective cache pressure on RAN tasks right now.
@@ -770,7 +780,7 @@ func (p *Pool) predictTask(n *ran.Task) sim.Time {
 	}
 	// Fallback: 1.5× the isolated mean — a deliberately loose margin so an
 	// absent model errs toward over-reservation.
-	return sim.Time(1.5 * float64(p.cfg.CostModel.Mean(n.Kind, n.Features, costmodel.Env{PoolCores: 1})))
+	return sim.Time(1.5 * float64(p.cfg.CostModel.Mean(n.Kind, &n.Features, costmodel.Env{PoolCores: 1})))
 }
 
 // queueIndex maps a cell to its ready queue, and a core to the queue it
@@ -889,7 +899,7 @@ func (p *Pool) dispatchTask(t *task, ci int, now sim.Time) {
 // the attempt, so a task that overruns keeps overrunning on retry — it
 // models a mispredicted input, not transient noise.
 func (p *Pool) taskDuration(t *task, now sim.Time) sim.Time {
-	dur := p.cfg.CostModel.Sample(t.node.Kind, t.node.Features, p.env())
+	dur := p.cfg.CostModel.Sample(t.node.Kind, &t.node.Features, p.env())
 	if p.flt != nil {
 		if factor, ok := p.flt.Overrun(t.dag.seq, int64(t.node.ID)); ok {
 			extra := sim.Time(float64(dur) * (factor - 1))

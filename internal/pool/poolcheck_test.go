@@ -7,6 +7,9 @@ import (
 	"testing"
 
 	"concordia/internal/ran"
+	"concordia/internal/scheduler"
+	"concordia/internal/sim"
+	"concordia/internal/workloads"
 )
 
 // These tests exercise the poolcheck sanitizer directly (DESIGN.md §5g):
@@ -108,4 +111,69 @@ func TestPoolcheckCleanLifecycle(t *testing.T) {
 	if len(p.runTable) != 1 {
 		t.Errorf("freelist not reused: runTable has %d entries, want 1", len(p.runTable))
 	}
+}
+
+// inFlightProbe records the pool's in-flight runs, and their DAGs, at every
+// scheduling decision; after Run it holds those of the last decision, a
+// scheduler interval or less before the horizon.
+type inFlightProbe struct {
+	scheduler.Scheduler
+	pool *Pool
+	runs []*dagRun
+	dags []*ran.DAG
+}
+
+func (o *inFlightProbe) Cores(s scheduler.PoolState) int {
+	o.runs, o.dags = o.runs[:0], o.dags[:0]
+	for _, run := range o.pool.dags {
+		o.runs = append(o.runs, run)
+		o.dags = append(o.dags, run.dag)
+	}
+	return o.Scheduler.Cores(s)
+}
+
+// TestPoolcheckArenaHandBack checks Run's hand-back to its Arena: every run
+// comes back poisoned and marked freed, with its DAG poisoned, the runs in
+// flight at the horizon included, and a task pointer kept from that pool
+// panics when the Arena's next pool takes it in.
+func TestPoolcheckArenaHandBack(t *testing.T) {
+	a := new(Arena)
+	cfg := testConfig(scheduler.NewConcordia(), workloads.None, 79)
+	cfg.Arena = a
+	probe := &inFlightProbe{Scheduler: cfg.Scheduler}
+	cfg.Scheduler = probe
+	p, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe.pool = p
+	p.Run(100 * sim.Millisecond)
+	if len(probe.runs) == 0 {
+		t.Fatal("no run in flight at the last decision: the in-flight hand-back went unchecked")
+	}
+	for _, run := range a.mem.runTable {
+		if !a.mem.pc.freed[run.id] {
+			t.Errorf("dagRun %d came back to the arena without being marked freed", run.id)
+		}
+		for i := range run.tasks {
+			if tk := &run.tasks[i]; tk.node != nil || tk.predicted != pcPoisonTime {
+				t.Errorf("dagRun %d task %d came back unpoisoned", run.id, i)
+			}
+		}
+	}
+	for i, d := range probe.dags {
+		if len(d.Tasks) != 0 || d.Release != -1 {
+			t.Errorf("DAG of in-flight dagRun %d came back unpoisoned", probe.runs[i].id)
+		}
+	}
+
+	stale := &probe.runs[0].tasks[0]
+	next := testConfig(scheduler.NewConcordia(), workloads.None, 80)
+	next.Arena = a
+	np, err := New(next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wantPanic(t, "use-after-recycle of dagRun")
+	np.pushReady(stale, 0)
 }

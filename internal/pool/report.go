@@ -74,6 +74,10 @@ type Report struct {
 
 	workloadCoreSeconds map[workloads.Kind]float64
 
+	// runtimes holds every kind's reservoir storage, kept across the runs
+	// of one Arena; TaskRuntimes lists the kinds this run has observed.
+	runtimes [ran.NumTaskKinds]*stats.Reservoir
+
 	poolCores int
 }
 
@@ -134,7 +138,16 @@ func (c CellStats) AvgQueueDelayUs() float64 {
 	return c.QueueDelaySumUs / float64(c.QueueDelayObs)
 }
 
-func newReport(cfg Config) *Report {
+// newReport returns the empty report of a run of cfg. When prev, the
+// report of the arena's previous run, is non-nil, its sample storage (the
+// three latency recorders and the per-kind runtime reservoirs) is reused,
+// reset in place with the seeds a fresh report draws from; prev is invalid
+// from then on.
+func newReport(cfg Config, prev *Report) *Report {
+	var old Report
+	if prev != nil {
+		old = *prev
+	}
 	r := rng.New(cfg.Seed ^ 0x5ee0)
 	perCell := make([]CellStats, len(cfg.Cells))
 	for i := range perCell {
@@ -142,14 +155,24 @@ func newReport(cfg Config) *Report {
 	}
 	return &Report{
 		PerCell:             perCell,
-		LatencyUL:           stats.NewTailRecorder(4096, 8192, r.Intn),
-		LatencyDL:           stats.NewTailRecorder(4096, 8192, r.Intn),
-		Latency:             stats.NewTailRecorder(4096, 8192, r.Intn),
+		LatencyUL:           resetTail(old.LatencyUL, r.Intn),
+		LatencyDL:           resetTail(old.LatencyDL, r.Intn),
+		Latency:             resetTail(old.Latency, r.Intn),
 		WakeupHistUs:        stats.NewLog2Histogram(),
 		TaskRuntimes:        map[ran.TaskKind]*stats.Reservoir{},
 		workloadCoreSeconds: map[workloads.Kind]float64{},
+		runtimes:            old.runtimes,
 		poolCores:           cfg.PoolCores,
 	}
+}
+
+// resetTail returns t emptied, or a new latency recorder when t is nil.
+func resetTail(t *stats.TailRecorder, randInt func(n int) int) *stats.TailRecorder {
+	if t == nil {
+		return stats.NewTailRecorder(4096, 8192, randInt)
+	}
+	t.Reset(randInt)
+	return t
 }
 
 func (r *Report) observeDAG(dir ran.SlotDir, latency sim.Time, missed bool) {
@@ -245,11 +268,18 @@ func (r *Report) observeWakeup(lat sim.Time) {
 	r.WakeupHistUs.Observe(uint64(lat.Us()))
 }
 
+// observeTask records one task runtime. A kind's reservoir is reset when
+// the run first observes the kind, so TaskRuntimes lists only observed kinds.
 func (r *Report) observeTask(kind ran.TaskKind, runtime sim.Time) {
 	res, ok := r.TaskRuntimes[kind]
 	if !ok {
-		rr := rng.New(uint64(kind) + 77)
-		res = stats.NewReservoir(4096, rr.Intn)
+		randInt := rng.New(uint64(kind) + 77).Intn
+		if res = r.runtimes[kind]; res == nil {
+			res = stats.NewReservoir(4096, randInt)
+			r.runtimes[kind] = res
+		} else {
+			res.Reset(randInt)
+		}
 		r.TaskRuntimes[kind] = res
 	}
 	res.Observe(float64(runtime))

@@ -34,29 +34,45 @@ type Sample struct {
 // observations, whose maximum is the leaf's WCET prediction. The paper's
 // implementation sizes these at 5000 entries.
 //
-// Push keeps the maximum current, so Max is O(1) and never writes: a frozen
-// predictor set can be read from many goroutines at once.
+// The capacity bounds how many observations the ring keeps; its storage
+// grows on demand up to it, so a leaf that never fills its ring never pays
+// for the whole of it. Push keeps the maximum current, so Max is O(1) and
+// never writes: a frozen predictor set can be read from many goroutines at
+// once.
 type RingBuffer struct {
-	buf  []sim.Time
-	next int
-	max  sim.Time // largest stored value, floored at 0; written only by Push
+	buf      []sim.Time // the stored values; cap(buf) never exceeds capacity
+	capacity int
+	next     int
+	max      sim.Time // largest stored value, floored at 0; written only by Push
 }
 
 // DefaultRingSize matches the paper's 5 K-entry leaf buffers.
 const DefaultRingSize = 5000
 
-// NewRingBuffer returns an empty buffer of the given capacity.
-func NewRingBuffer(capacity int) *RingBuffer {
+// NewRingBuffer returns an empty buffer of the given capacity. It allocates
+// no storage until the first Push.
+func NewRingBuffer(capacity int) *RingBuffer { return newRingBuffer(capacity, 0) }
+
+// newRingBuffer returns an empty buffer of the given capacity with storage
+// for its first room values (at most capacity) allocated up front.
+func newRingBuffer(capacity, room int) *RingBuffer {
 	if capacity <= 0 {
 		panic("predictor: ring buffer capacity must be positive")
 	}
-	return &RingBuffer{buf: make([]sim.Time, 0, capacity)}
+	return &RingBuffer{buf: make([]sim.Time, 0, min(room, capacity)), capacity: capacity}
 }
 
-// Push appends an observation, evicting the oldest once full. It rescans the
-// ring only when it evicts the maximum for a smaller value.
+// Push appends an observation, evicting the oldest once capacity values are
+// stored. Until then it doubles the storage whenever it is full, never past
+// the capacity. It rescans the ring only when it evicts the maximum for a
+// smaller value.
 func (r *RingBuffer) Push(v sim.Time) {
-	if len(r.buf) < cap(r.buf) {
+	if len(r.buf) < r.capacity {
+		if len(r.buf) == cap(r.buf) {
+			buf := make([]sim.Time, len(r.buf), min(max(2*cap(r.buf), 8), r.capacity))
+			copy(buf, r.buf)
+			r.buf = buf
+		}
 		r.buf = append(r.buf, v)
 		if v > r.max {
 			r.max = v

@@ -29,7 +29,7 @@ func profileDecode(n int, seed uint64, env costmodel.Env) []Sample {
 		f.Set(ran.FTBSBits, float64(cbs*8000))
 		f.Set(ran.FNumUEs, float64(1+r.Intn(16)))
 		f.Set(ran.FPRBs, float64(10+r.Intn(260)))
-		out = append(out, Sample{Features: f, Runtime: m.Sample(ran.TaskLDPCDecode, f, env)})
+		out = append(out, Sample{Features: f, Runtime: m.Sample(ran.TaskLDPCDecode, &f, env)})
 	}
 	return out
 }

@@ -43,7 +43,7 @@ type treeNode struct {
 	stddevT float64
 }
 
-// TreeConfig bounds offline tree growth. Every leaf ring holds
+// TreeConfig bounds offline tree growth. Every leaf ring holds up to
 // DefaultRingSize runtimes, seeded with the leaf's offline samples.
 type TreeConfig struct {
 	MaxDepth  int // default 10
@@ -311,10 +311,12 @@ func bestCut(order []int, vals, runtime []float64, minLeaf int) (gain, threshold
 
 // fillLeaf turns n into the next leaf, seeding its ring with the runtimes of
 // the samples idx lists, in that order; buf has room for len(idx) values.
+// The ring starts with room for its seeds and a quarter more (at least
+// leafRingHeadroom), so the first online observations do not grow it.
 func (t *QuantileTree) fillLeaf(n *treeNode, data []Sample, idx []int, buf []float64) {
 	n.leaf = true
 	n.leafID = len(t.leaves)
-	n.ring = NewRingBuffer(DefaultRingSize)
+	n.ring = newRingBuffer(DefaultRingSize, len(idx)+max(len(idx)/4, leafRingHeadroom))
 	runtimes := buf[:len(idx)]
 	for i, j := range idx {
 		n.ring.Push(data[j].Runtime)
@@ -325,6 +327,9 @@ func (t *QuantileTree) fillLeaf(n *treeNode, data []Sample, idx []int, buf []flo
 	n.stddevT = stats.StdDev(runtimes)
 	t.leaves = append(t.leaves, n)
 }
+
+// leafRingHeadroom is the least spare room a trained leaf's ring starts with.
+const leafRingHeadroom = 16
 
 // findLeaf routes a feature vector to its leaf.
 func (t *QuantileTree) findLeaf(f ran.FeatureVector) *treeNode {

@@ -188,7 +188,7 @@ func profileCells(cells []ran.CellConfig, slots int, seed uint64) map[ran.TaskKi
 	out := map[ran.TaskKind][]Sample{}
 	record := func(d *ran.DAG) {
 		for _, t := range d.Tasks {
-			out[t.Kind] = append(out[t.Kind], Sample{Features: t.Features, Runtime: m.Sample(t.Kind, t.Features, env)})
+			out[t.Kind] = append(out[t.Kind], Sample{Features: t.Features, Runtime: m.Sample(t.Kind, &t.Features, env)})
 		}
 	}
 	for s := 0; s < slots; s++ {

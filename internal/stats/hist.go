@@ -124,6 +124,14 @@ func (r *Reservoir) Observe(v float64) {
 	}
 }
 
+// Reset empties the reservoir in place, keeping its storage, so it behaves
+// as NewReservoir(capacity, randInt) would.
+func (r *Reservoir) Reset(randInt func(n int) int) {
+	r.seen = 0
+	r.items = r.items[:0]
+	r.rand = randInt
+}
+
 // Samples returns the retained sample (not a copy).
 func (r *Reservoir) Samples() []float64 { return r.items }
 
@@ -146,6 +154,15 @@ type TailRecorder struct {
 // body reservoir of bodyCap samples.
 func NewTailRecorder(keepTop, bodyCap int, randInt func(n int) int) *TailRecorder {
 	return &TailRecorder{keepTop: keepTop, reservoir: NewReservoir(bodyCap, randInt)}
+}
+
+// Reset empties the recorder in place, keeping its storage, so it behaves
+// as NewTailRecorder(keepTop, bodyCap, randInt) would.
+func (t *TailRecorder) Reset(randInt func(n int) int) {
+	t.count = 0
+	t.top = t.top[:0]
+	t.max = 0
+	t.reservoir.Reset(randInt)
 }
 
 // Observe records a sample. Once keepTop samples are kept, a sample larger

@@ -17,7 +17,10 @@
 // The -diff mode compares two trajectory documents benchmark by benchmark,
 // printing ns/op and allocs/op deltas, and exits non-zero when any
 // benchmark's allocs/op regressed by more than 10% — the repo's
-// alloc-regression gate (DESIGN.md §5f).
+// alloc-regression gate (DESIGN.md §5f). Its last line, "compared N of M
+// benchmarks", counts the new document's benchmarks that the old one also
+// has; names recorded at a different GOMAXPROCS carry a different -cpu
+// suffix and match nothing, which that line then says.
 package main
 
 import (
@@ -168,11 +171,47 @@ func pctDelta(oldV, newV float64) (pct float64, ok bool) {
 	return (newV - oldV) / oldV * 100, true
 }
 
+// cpuBase drops the -cpu suffix that `go test -bench` appends to a name
+// when GOMAXPROCS > 1 ("BenchmarkX-8" is "BenchmarkX").
+func cpuBase(name string) string {
+	digits := strings.TrimRight(name, "0123456789")
+	if len(digits) < len(name) && strings.HasSuffix(digits, "-") {
+		return digits[:len(digits)-1]
+	}
+	return name
+}
+
+// noMatchCause explains a diff that compared nothing: the usual cause is two
+// trajectories recorded at different GOMAXPROCS, whose names differ only in
+// their -cpu suffix.
+func noMatchCause(oldTr, newTr *Trajectory) string {
+	oldByBase := make(map[benchKey]string, len(oldTr.Benchmarks))
+	for _, b := range oldTr.Benchmarks {
+		oldByBase[benchKey{b.Package, cpuBase(b.Name)}] = b.Name
+	}
+	n, example := 0, ""
+	for _, b := range newTr.Benchmarks {
+		if oldName, ok := oldByBase[benchKey{b.Package, cpuBase(b.Name)}]; ok {
+			if n == 0 {
+				example = fmt.Sprintf("old %s, new %s", oldName, b.Name)
+			}
+			n++
+		}
+	}
+	if n == 0 {
+		return "no name matches, with or without its -cpu suffix"
+	}
+	return fmt.Sprintf("%d match once the -cpu suffix is dropped (%s), so the two runs had different GOMAXPROCS",
+		n, example)
+}
+
 // diff compares two trajectories benchmark by benchmark, writing one delta
 // line per shared benchmark to w, and returns the benchmarks whose allocs/op
 // regressed past allocRegressionLimit. Benchmarks present in only one
 // document are reported but never fatal: the suite is allowed to grow and
-// shrink; only a shared benchmark getting hungrier trips the gate.
+// shrink; only a shared benchmark getting hungrier trips the gate. The last
+// line says how many of the new document's benchmarks were compared and,
+// when none were, why.
 func diff(oldTr, newTr *Trajectory, w io.Writer) (regressed []string) {
 	oldBy := make(map[benchKey]Benchmark, len(oldTr.Benchmarks))
 	for _, b := range oldTr.Benchmarks {
@@ -210,6 +249,11 @@ func diff(oldTr, newTr *Trajectory, w io.Writer) (regressed []string) {
 			fmt.Fprintf(w, "- %s %s: only in old\n", ob.Package, ob.Name)
 		}
 	}
+	fmt.Fprintf(w, "compared %d of %d benchmarks", len(matched), len(newTr.Benchmarks))
+	if len(matched) == 0 && len(newTr.Benchmarks) > 0 {
+		fmt.Fprint(w, ": "+noMatchCause(oldTr, newTr))
+	}
+	fmt.Fprintln(w)
 	return regressed
 }
 

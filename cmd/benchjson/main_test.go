@@ -187,3 +187,52 @@ func TestParseSkipsNonResultBenchmarkLines(t *testing.T) {
 		t.Errorf("benchmarks: %+v", tr.Benchmarks)
 	}
 }
+
+func TestDiffSaysHowManyItCompared(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name string, tr *Trajectory) string {
+		buf, err := json.Marshal(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := dir + "/" + name
+		if err := os.WriteFile(p, buf, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	lastLine := func(out string) string {
+		lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
+		return lines[len(lines)-1]
+	}
+	// Recorded on one CPU (no suffix) and on two (-2): the same benchmarks,
+	// no name in common.
+	oneCPU := write("one.json", trWith(
+		Benchmark{Package: "p", Name: "BenchmarkA", NsPerOp: 1, AllocsPerOp: fp(10)},
+		Benchmark{Package: "p", Name: "BenchmarkB/small", NsPerOp: 1, AllocsPerOp: fp(10)},
+	))
+	twoCPU := write("two.json", trWith(
+		Benchmark{Package: "p", Name: "BenchmarkA-2", NsPerOp: 1, AllocsPerOp: fp(10)},
+		Benchmark{Package: "p", Name: "BenchmarkB/small-2", NsPerOp: 1, AllocsPerOp: fp(10)},
+		Benchmark{Package: "p", Name: "BenchmarkC-2", NsPerOp: 1, AllocsPerOp: fp(10)},
+	))
+	other := write("other.json", trWith(Benchmark{Package: "q", Name: "BenchmarkZ-2", NsPerOp: 1}))
+	for _, c := range []struct {
+		oldP, newP, want string
+	}{
+		{twoCPU, twoCPU, "compared 3 of 3 benchmarks"},
+		{oneCPU, twoCPU, "compared 0 of 3 benchmarks: 2 match once the -cpu suffix is dropped " +
+			"(old BenchmarkA, new BenchmarkA-2), so the two runs had different GOMAXPROCS"},
+		{oneCPU, other, "compared 0 of 1 benchmarks: no name matches, with or without its -cpu suffix"},
+	} {
+		var buf bytes.Buffer
+		// Comparing nothing is reported, not fatal: the exit status is the
+		// allocation gate's alone.
+		if code := runDiff(c.oldP, c.newP, &buf); code != 0 {
+			t.Errorf("%s vs %s exited %d", c.oldP, c.newP, code)
+		}
+		if got := lastLine(buf.String()); got != c.want {
+			t.Errorf("%s vs %s: last line %q, want %q", c.oldP, c.newP, got, c.want)
+		}
+	}
+}

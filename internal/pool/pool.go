@@ -370,6 +370,11 @@ type Pool struct {
 	cores    []core
 	ranCores int // cores in waking/idle/busy RAN states
 
+	// lazyTarget is set when the policy's Cores has no side effects
+	// (scheduler.SideEffectFree): a task completion then asks it only where
+	// the answer is read.
+	lazyTarget bool
+
 	queues []readyQueue
 	// dags holds in-flight DAGs in release order. A slice (not a map) keeps
 	// scheduler-state iteration deterministic: float accumulation over a
@@ -467,6 +472,8 @@ func New(cfg Config) (*Pool, error) {
 		cores:    make([]core, cfg.PoolCores),
 		queues:   make([]readyQueue, nq),
 		arenaMem: cfg.Arena.mem,
+
+		lazyTarget: scheduler.SideEffectFree(cfg.Scheduler),
 	}
 	cfg.Arena.mem, cfg.Arena.lent = arenaMem{}, true
 	p.report = newReport(cfg, p.report)
@@ -494,7 +501,24 @@ func New(cfg Config) (*Pool, error) {
 		p.tel = newTelemetryHooks(cfg.Telemetry, p.flt != nil)
 		p.tel.attach(p)
 	}
+	if p.tel != nil || PoolcheckEnabled {
+		p.eng.SetProbe(p.onEvent)
+	}
 	return p, nil
+}
+
+// onEvent is the engine probe, run before each event is dispatched, so it
+// sees the state the previous event left: under poolcheck it checks that no
+// RAN core idles beside queued work, and with telemetry it counts the event
+// and tracks the pending-queue peak.
+func (p *Pool) onEvent(_ sim.Time, pending int) {
+	p.checkWorkConserving()
+	if t := p.tel; t != nil {
+		t.cSimEvents.Inc()
+		if pending > t.pendingPeak {
+			t.pendingPeak = pending
+		}
+	}
 }
 
 // Run executes the simulation for the given duration and returns the
@@ -524,6 +548,7 @@ func (p *Pool) Run(duration sim.Time) *Report {
 		sim.NewTicker(p.eng, 0, 100*sim.Microsecond, p.onReconcile)
 	}
 	p.eng.Run(duration)
+	p.checkWorkConserving() // the state the last event left
 	p.accountCoreTime(p.eng.Now())
 	p.cfg.SLO.Flush(p.eng.Now())
 	if p.flt != nil {
@@ -665,8 +690,10 @@ func (p *Pool) acquireRun(d *ran.DAG) *dagRun {
 		p.runTable = append(p.runTable, run)
 	}
 	n := len(d.Tasks)
-	if cap(run.tasks) < n {
-		run.tasks = make([]task, n)
+	if c := cap(run.tasks); c < n {
+		// At least double, as ran.DAG's slab grows: runs of every DAG size
+		// share one freelist.
+		run.tasks = make([]task, max(n, 2*c))
 	}
 	run.tasks = run.tasks[:n]
 	run.dag = d
@@ -1278,7 +1305,16 @@ func (p *Pool) coreAfterTask(ci int, keep *task, now sim.Time) {
 		p.dispatch(now)
 		return
 	}
-	target := p.currentTarget()
+	// The storm query stays at every completion: the injector counts a
+	// storm only when it is asked inside it, and a storm can be shorter
+	// than a scheduler interval.
+	avail := p.stormAvail(now)
+	target := -1 // not asked yet
+	if !p.lazyTarget {
+		// A policy with side effects is asked at every completion: its ±1
+		// state steps, or its decisions are counted, on each call.
+		target = p.coreTarget(now, avail)
+	}
 	qi := p.queueIndex(ci)
 	switch {
 	case keep != nil:
@@ -1292,31 +1328,28 @@ func (p *Pool) coreAfterTask(ci int, keep *task, now sim.Time) {
 		// a held core while its queue is non-empty only adds latency.
 		next := p.queues[qi].pop()
 		p.startTask(ci, next, now)
-	case p.ranCores > target:
-		if p.cfg.ReleaseHysteresis > 0 {
-			// Keep the core reserved; the periodic release sweep yields it
-			// once it has lingered idle past the hysteresis.
-			c.state = coreIdleRAN
-			c.idleSince = now
-		} else {
-			p.yieldCore(ci, now)
-		}
 	default:
+		// A core beyond the target yields at once, unless a release
+		// hysteresis keeps it reserved whatever the target: the periodic
+		// release sweep yields it once it has lingered idle past that.
+		if p.cfg.ReleaseHysteresis == 0 {
+			if target < 0 {
+				target = p.coreTarget(now, avail)
+			}
+			if p.ranCores > target {
+				p.yieldCore(ci, now)
+				return
+			}
+		}
 		c.state = coreIdleRAN
 		c.idleSince = now
 	}
 }
 
-// currentTarget re-evaluates the scheduler's desired core count using the
-// current state (used at completion boundaries; the periodic tick applies
-// it too).
-func (p *Pool) currentTarget() int {
-	now := p.eng.Now()
-	target := p.cfg.Scheduler.Cores(p.schedulerState(now))
-	if avail := p.stormAvail(now); target > avail {
-		target = avail
-	}
-	return target
+// coreTarget asks the policy for its core target at now, capped at avail,
+// the cores a yield storm leaves.
+func (p *Pool) coreTarget(now sim.Time, avail int) int {
+	return min(p.cfg.Scheduler.Cores(p.schedulerState(now)), avail)
 }
 
 // stormAvail returns how many pool cores the RAN may own right now: all of
@@ -1516,8 +1549,9 @@ func (p *Pool) applyTarget(target int, now sim.Time) {
 		p.yieldCore(ci, now)
 	}
 	// Yield storm: the host is yanking cores back right now, so surplus
-	// non-busy cores go immediately, hysteresis notwithstanding (busy cores
-	// drain at task completion through the storm-clamped currentTarget).
+	// non-busy cores go immediately, hysteresis notwithstanding (a busy core
+	// finishes its task first; coreAfterTask then weighs it against the
+	// target capped at the storm's avail).
 	for p.ranCores > stormAvail {
 		ci := p.stormYieldCandidate()
 		if ci < 0 {

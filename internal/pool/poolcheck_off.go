@@ -13,3 +13,5 @@ type poolPC struct{}
 func (*poolPC) acquire(run *dagRun)   {}
 func (*poolPC) recycle(run *dagRun)   {}
 func (*poolPC) checkLive(run *dagRun) {}
+
+func (*Pool) checkWorkConserving() {}

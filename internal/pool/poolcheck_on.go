@@ -34,6 +34,9 @@ const (
 type poolPC struct {
 	freed    []bool
 	freedSeq []int64
+	// idleSeen counts the idle RAN cores checkWorkConserving has looked at,
+	// so a test can tell the check from one that never met an idle core.
+	idleSeen uint64
 }
 
 func (pc *poolPC) grow(id int32) {
@@ -101,4 +104,22 @@ func (pc *poolPC) checkLive(run *dagRun) {
 	panic(fmt.Sprintf(
 		"pool: poolcheck: use-after-recycle of dagRun %d (owning release seq %d)",
 		run.id, pc.freedSeq[run.id]))
+}
+
+// checkWorkConserving panics when a RAN core idles while the queue it serves
+// holds a ready task. The pool runs it between events: every path that
+// queues a task or idles a core dispatches first, so no event may leave a
+// held core idle beside work it could take.
+func (p *Pool) checkWorkConserving() {
+	for ci := range p.cores {
+		if p.cores[ci].state != coreIdleRAN {
+			continue
+		}
+		p.pc.idleSeen++
+		if n := p.queues[p.queueIndex(ci)].Len(); n > 0 {
+			panic(fmt.Sprintf(
+				"pool: poolcheck: core %d idles at %v beside %d ready tasks in the queue it serves",
+				ci, p.eng.Now(), n))
+		}
+	}
 }

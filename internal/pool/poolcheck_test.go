@@ -177,3 +177,33 @@ func TestPoolcheckArenaHandBack(t *testing.T) {
 	defer wantPanic(t, "use-after-recycle of dagRun")
 	np.pushReady(stale, 0)
 }
+
+// TestPoolcheckWorkConservation runs the lazy-target oracle's scenarios (the
+// golden ones, whose telemetry shares the engine probe with the check, and
+// the Shenango one, whose cores idle and yield with no hysteresis) with the
+// work-conservation check live between every two events, and fails if it
+// never met an idle RAN core.
+func TestPoolcheckWorkConservation(t *testing.T) {
+	for _, sc := range targetScenarios(t) {
+		sc := sc
+		t.Run(sc.name, func(t *testing.T) {
+			a := new(Arena)
+			cfg := sc.cfg
+			sc.cfg = func() Config {
+				c := cfg()
+				c.Arena = a
+				return c
+			}
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatal(r)
+				}
+			}()
+			runGolden(t, sc)
+			if a.mem.pc.idleSeen == 0 {
+				t.Fatal("no idle RAN core between any two events: the check proved nothing")
+			}
+			t.Logf("%d idle cores checked", a.mem.pc.idleSeen)
+		})
+	}
+}

@@ -137,15 +137,9 @@ func (p *Pool) taskRecover(now sim.Time, class faults.Class, action int64, t *ta
 	p.recoverTrace(now, class, action, int32(t.node.CellID), int32(t.dag.dag.Slot), int32(t.node.Kind))
 }
 
-// attach installs the engine and accelerator probes. Called once from New
-// when telemetry is enabled.
+// attach installs the accelerator probe; the engine probe is the pool's
+// onEvent. Called once from New when telemetry is enabled.
 func (t *telemetryHooks) attach(p *Pool) {
-	p.eng.SetProbe(func(at sim.Time, pending int) {
-		t.cSimEvents.Inc()
-		if pending > t.pendingPeak {
-			t.pendingPeak = pending
-		}
-	})
 	if p.cfg.Accel != nil {
 		p.cfg.Accel.Probe = func(r accel.OffloadRecord) {
 			t.cOffloads.Inc()

@@ -73,7 +73,7 @@ type Task struct {
 // and one slot direction, with its release time and absolute deadline.
 //
 // Memory discipline (DESIGN.md §5f): a DAG's Task nodes live in one backing
-// slab owned by the DAG, sized exactly before construction so the slab never
+// slab owned by the DAG, sized before construction so the slab never
 // reallocates mid-build (Tasks pointers and Deps backing arrays would alias
 // a dead array otherwise). The *Into builder variants reuse a previous
 // slot's slab, Deps/Succs capacity, and scratch, so steady-state DAG
@@ -97,18 +97,24 @@ type DAG struct {
 // prepare resets the DAG for a rebuild of exactly n tasks. Sizing the slab
 // up front is what makes interior pointers safe: addTask never appends past
 // the prepared length, so the backing array cannot move mid-build.
+//
+// A slab too small grows to at least twice its capacity and keeps its old
+// entries, Deps/Succs capacity and all: DAGs of every size draw on one
+// freelist, so growing to exactly n would reallocate it again and again.
 func (d *DAG) prepare(cellID, slot int, dir SlotDir, release, deadline sim.Time, n int) {
 	d.CellID = cellID
 	d.Slot = slot
 	d.Dir = dir
 	d.Release = release
 	d.Deadline = deadline
-	if cap(d.slab) < n {
-		d.slab = make([]Task, n)
+	if c := cap(d.slab); c < n {
+		slab := make([]Task, max(n, 2*c))
+		copy(slab, d.slab[:c])
+		d.slab = slab
 	}
 	d.slab = d.slab[:n]
-	if cap(d.Tasks) < n {
-		d.Tasks = make([]*Task, 0, n)
+	if c := cap(d.Tasks); c < n {
+		d.Tasks = make([]*Task, 0, max(n, 2*c))
 	}
 	d.Tasks = d.Tasks[:0]
 	d.roots = d.roots[:0]

@@ -61,6 +61,23 @@ type Scheduler interface {
 	CompensatesWakeups() bool
 }
 
+// sideEffectFree marks the policies whose Cores reads its PoolState and
+// changes nothing: no state of the policy's own steps, nothing is counted.
+type sideEffectFree interface{ sideEffectFree() }
+
+func (*Concordia) sideEffectFree() {}
+func (FlexRAN) sideEffectFree()    {}
+
+// SideEffectFree reports whether s's Cores has no side effects, so a caller
+// may leave out a call whose answer it would not read and change nothing
+// else. It decides by the policy's type: Concordia and FlexRAN are; Shenango
+// and Utilization step their ±1 state on every call; and any other type,
+// Instrumented and every wrapper included, counts as having side effects.
+func SideEffectFree(s Scheduler) bool {
+	_, ok := s.(sideEffectFree)
+	return ok
+}
+
 // Concordia is the federated mixed-criticality allocator of §3. For every
 // active DAG it computes the minimum core count that finishes the remaining
 // predicted work by the deadline,

@@ -1,6 +1,7 @@
 package scheduler
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -202,6 +203,53 @@ func TestNamesAndIntervals(t *testing.T) {
 	}
 	if NewConcordia().Interval() != 20*sim.Microsecond {
 		t.Error("Concordia must re-evaluate every 20 µs")
+	}
+}
+
+// TestSideEffectFree pins which policies the pool may ask only where it reads
+// the answer: a side-effect-free Cores called twice on one state answers
+// the same and leaves the state's DAGs as they were; each of the others
+// shows the effect that keeps it off the list.
+func TestSideEffectFree(t *testing.T) {
+	st := PoolState{
+		Now: ms(0.4), TotalCores: 8, ReadyTasks: 3, RunningTasks: 2,
+		OldestReadyAge: us(60), Utilization: 0.9,
+		DAGs: []DAGState{
+			{Deadline: ms(1.5), RemainingWork: ms(2.0), RemainingCriticalPath: ms(0.2)},
+			{Deadline: ms(2.0), RemainingWork: us(300), RemainingCriticalPath: us(100)},
+			{Deadline: ms(1.9), RemainingWork: 0},
+		},
+	}
+	want := append([]DAGState(nil), st.DAGs...)
+	for _, s := range []Scheduler{NewConcordia(), &Concordia{DisableWakeupCompensation: true}, FlexRAN{}} {
+		if !SideEffectFree(s) {
+			t.Errorf("%s (%+v) not side-effect free", s.Name(), s)
+		}
+		if first, second := s.Cores(st), s.Cores(st); first != second {
+			t.Errorf("%s answered %d, then %d on the same state", s.Name(), first, second)
+		}
+		if !slices.Equal(st.DAGs, want) {
+			t.Errorf("%s changed the state's DAGs: %+v, want %+v", s.Name(), st.DAGs, want)
+		}
+	}
+
+	for _, s := range []Scheduler{NewShenango(us(25)), NewUtilization(0.6)} {
+		if SideEffectFree(s) {
+			t.Errorf("%s classified side-effect free", s.Name())
+		}
+		if first, second := s.Cores(st), s.Cores(st); first == second {
+			t.Errorf("%s answered %d twice on the same state: its ±1 state did not step", s.Name(), first)
+		}
+	}
+	calls := 0
+	inst := Instrumented{Inner: NewConcordia(), Observe: func(bool) { calls++ }}
+	if SideEffectFree(inst) {
+		t.Error("Instrumented classified side-effect free")
+	}
+	inst.Cores(st)
+	inst.Cores(st)
+	if calls != 2 {
+		t.Errorf("Instrumented reported %d of 2 calls to Observe", calls)
 	}
 }
 

@@ -79,8 +79,9 @@ poolcheck:
 # fuzz runs every fuzz target for FUZZTIME each: the parsers of user input
 # (the -faults spec, a traffic trace, an events CSV), the Chrome trace
 # exporter against its encoding/json reference, the latency tail recorder
-# against its sorted-insertion reference and the on-demand leaf ring against
-# its fixed-capacity reference. go test fuzzes one target
+# against its sorted-insertion reference, the on-demand leaf ring against
+# its fixed-capacity reference and the tree grower's radix column order
+# against the (value, index) pair sort. go test fuzzes one target
 # per invocation, hence one line each. A failing input is saved under the
 # package's testdata/fuzz/ and replayed by every later `go test`.
 FUZZTIME ?= 10s
@@ -91,6 +92,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzChromeTrace$$' -fuzztime $(FUZZTIME) ./internal/telemetry
 	$(GO) test -run '^$$' -fuzz '^FuzzTailRecorder$$' -fuzztime $(FUZZTIME) ./internal/stats
 	$(GO) test -run '^$$' -fuzz '^FuzzRingBuffer$$' -fuzztime $(FUZZTIME) ./internal/predictor
+	$(GO) test -run '^$$' -fuzz '^FuzzColumnOrder$$' -fuzztime $(FUZZTIME) ./internal/predictor
 
 # One regeneration pass per paper table/figure, with timing and allocation
 # stats, distilled into BENCH_pool.json (schema in EXPERIMENTS.md) so the

@@ -230,39 +230,55 @@ type System struct {
 func Profile(cells []ran.CellConfig, slots int, model *costmodel.Model, poolCores int, seed uint64) map[ran.TaskKind][]predictor.Sample {
 	r := rng.New(seed)
 	env := costmodel.Env{PoolCores: poolCores}
-	out := map[ran.TaskKind][]predictor.Sample{}
-	// One DAG and one allocator serve every slot: each DAG is recorded
+	// One DAG and one allocator serve every slot: each DAG is visited
 	// before the next is built into the same slab, and SlotAllocator draws
 	// from r exactly as AllocateSlot does.
 	var (
 		dag   ran.DAG
 		alloc ran.SlotAllocator
 	)
-	record := func(d *ran.DAG) {
+	sweep := func(r *rng.Rand, visit func(*ran.DAG)) {
+		for s := 0; s < slots; s++ {
+			cell := cells[s%len(cells)]
+			// Sweep the input space: uniform random volumes up to a generous
+			// per-slot ceiling, including empty slots.
+			ulPeak := 1 + r.Intn(64*1024)
+			dlPeak := 1 + r.Intn(128*1024)
+			visit(ran.BuildUplinkDAGInto(&dag, cell, s, 0, sim.FromMs(2), alloc.Allocate(cell, ulPeak, r)))
+			visit(ran.BuildDownlinkDAGInto(&dag, cell, s, 0, sim.FromMs(2), alloc.Allocate(cell, dlPeak, r)))
+			visit(ran.BuildMACDAGInto(&dag, cell, s, 0, cell.Numerology.SlotDuration(), 1+r.Intn(cell.MaxUEs)))
+		}
+	}
+	// A first sweep on a copy of r counts each kind's tasks, so each kind's
+	// samples are allocated once, at their final length. It draws nothing
+	// from the cost model, whose stream the second sweep and then the pool
+	// continue.
+	var counts [ran.NumTaskKinds]int
+	dry := *r
+	sweep(&dry, func(d *ran.DAG) {
 		for _, t := range d.Tasks {
-			s := out[t.Kind]
-			if s == nil {
-				// Most kinds run at least once a slot, so each starts at
-				// slots entries instead of growing from empty. Past that,
-				// append's 1.25× steps: doubling copies less but keeps up to
-				// twice each kind's samples live through training.
-				s = make([]predictor.Sample, 0, slots)
-			}
-			out[t.Kind] = append(s, predictor.Sample{
+			counts[t.Kind]++
+		}
+	})
+	var samples [ran.NumTaskKinds][]predictor.Sample
+	for kind, n := range counts {
+		if n > 0 {
+			samples[kind] = make([]predictor.Sample, 0, n)
+		}
+	}
+	sweep(r, func(d *ran.DAG) {
+		for _, t := range d.Tasks {
+			samples[t.Kind] = append(samples[t.Kind], predictor.Sample{
 				Features: t.Features,
 				Runtime:  model.Sample(t.Kind, &t.Features, env),
 			})
 		}
-	}
-	for s := 0; s < slots; s++ {
-		cell := cells[s%len(cells)]
-		// Sweep the input space: uniform random volumes up to a generous
-		// per-slot ceiling, including empty slots.
-		ulPeak := 1 + r.Intn(64*1024)
-		dlPeak := 1 + r.Intn(128*1024)
-		record(ran.BuildUplinkDAGInto(&dag, cell, s, 0, sim.FromMs(2), alloc.Allocate(cell, ulPeak, r)))
-		record(ran.BuildDownlinkDAGInto(&dag, cell, s, 0, sim.FromMs(2), alloc.Allocate(cell, dlPeak, r)))
-		record(ran.BuildMACDAGInto(&dag, cell, s, 0, cell.Numerology.SlotDuration(), 1+r.Intn(cell.MaxUEs)))
+	})
+	out := map[ran.TaskKind][]predictor.Sample{}
+	for kind, s := range samples {
+		if s != nil {
+			out[ran.TaskKind(kind)] = s
+		}
 	}
 	return out
 }

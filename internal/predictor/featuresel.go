@@ -50,39 +50,53 @@ func SelectFeatures(kind ran.TaskKind, data []Sample, topN, keepM int) []ran.Fea
 	if keepM <= 0 || keepM > topN {
 		keepM = topN
 	}
-	sub := data
-	if len(sub) > dcorSamples {
-		stride := len(sub) / dcorSamples
-		picked := make([]Sample, 0, dcorSamples)
-		for i := 0; i < len(sub); i += stride {
-			picked = append(picked, sub[i])
-		}
-		sub = picked
+	stride := 1
+	if len(data) > dcorSamples {
+		stride = len(data) / dcorSamples
 	}
-	runtime := make([]float64, len(sub))
-	for i, s := range sub {
-		runtime[i] = float64(s.Runtime)
+	n := (len(data) + stride - 1) / stride // the samples kept: data[i*stride] for i < n
+
+	// Only a feature that varies across the kept samples can rank.
+	var feats []ran.Feature
+	for f := ran.Feature(0); f < ran.NumFeatures; f++ {
+		for i := 1; i < n; i++ {
+			if data[i*stride].Features[f] != data[0].Features[f] {
+				feats = append(feats, f)
+				break
+			}
+		}
+	}
+	// One array holds the runtime column, each varying feature's column
+	// (cols[f], nil for a constant feature) and the scratch of the distance
+	// correlations.
+	k := len(feats)
+	buf := make([]float64, (k+1)*n+(k+2)*n+3*k)
+	runtime := buf[:n]
+	for i := range runtime {
+		runtime[i] = float64(data[i*stride].Runtime)
+	}
+	var cols [ran.NumFeatures][]float64
+	varying := make([][]float64, k)
+	for c, f := range feats {
+		col := buf[(c+1)*n : (c+2)*n]
+		for i := range col {
+			col[i] = data[i*stride].Features[f]
+		}
+		cols[f] = col
+		varying[c] = col
 	}
 
-	// Rank by distance correlation.
+	// Rank by distance correlation, every column against the one runtime
+	// column in a single pass.
+	dcor := make([]float64, k)
+	stats.DistanceCorrelations(dcor, varying, runtime, buf[(k+1)*n:])
 	type scored struct {
 		f ran.Feature
 		d float64
 	}
-	var ranks []scored
-	col := make([]float64, len(sub))
-	for f := ran.Feature(0); f < ran.NumFeatures; f++ {
-		varies := false
-		for i, s := range sub {
-			col[i] = s.Features.Get(f)
-			if i > 0 && col[i] != col[0] {
-				varies = true
-			}
-		}
-		if !varies {
-			continue
-		}
-		ranks = append(ranks, scored{f, stats.DistanceCorrelation(col, runtime)})
+	ranks := make([]scored, len(feats))
+	for i, f := range feats {
+		ranks[i] = scored{f, dcor[i]}
 	}
 	sort.SliceStable(ranks, func(a, b int) bool { return ranks[a].d > ranks[b].d })
 	if len(ranks) > topN {
@@ -95,7 +109,7 @@ func SelectFeatures(kind ran.TaskKind, data []Sample, topN, keepM int) []ran.Fea
 
 	// Backwards elimination: repeatedly drop the feature whose removal
 	// degrades the linear fit least, until keepM remain.
-	selected := backwardsEliminate(sub, runtime, candidates, keepM)
+	selected := backwardsEliminate(&cols, runtime, candidates, keepM)
 
 	// Union with hand-picked features, preserving order and uniqueness.
 	out := append([]ran.Feature(nil), HandPicked[kind]...)
@@ -112,11 +126,13 @@ func SelectFeatures(kind ran.TaskKind, data []Sample, topN, keepM int) []ran.Fea
 	return out
 }
 
-func backwardsEliminate(data []Sample, y []float64, feats []ran.Feature, keep int) []ran.Feature {
+// backwardsEliminate fits y on feats and drops features until keep remain;
+// cols[f] is feature f's column, one value per entry of y.
+func backwardsEliminate(cols *[ran.NumFeatures][]float64, y []float64, feats []ran.Feature, keep int) []ran.Feature {
 	current := append([]ran.Feature(nil), feats...)
 	// Every trial builds its design matrix in the same two buffers.
-	X := make([][]float64, len(data))
-	cells := make([]float64, len(data)*len(feats))
+	X := make([][]float64, len(y))
+	cells := make([]float64, len(y)*len(feats))
 	for len(current) > keep {
 		bestR2 := -1.0
 		bestDrop := -1
@@ -124,7 +140,7 @@ func backwardsEliminate(data []Sample, y []float64, feats []ran.Feature, keep in
 			trial := make([]ran.Feature, 0, len(current)-1)
 			trial = append(trial, current[:drop]...)
 			trial = append(trial, current[drop+1:]...)
-			r2 := fitR2(X, cells, data, y, trial)
+			r2 := fitR2(X, cells, cols, y, trial)
 			if r2 > bestR2 {
 				bestR2 = r2
 				bestDrop = drop
@@ -138,18 +154,18 @@ func backwardsEliminate(data []Sample, y []float64, feats []ran.Feature, keep in
 	return current
 }
 
-// fitR2 returns the R² of the OLS fit of y on feats. It builds the design
-// matrix in X, one row per sample, with row i at cells[i*k : (i+1)*k] for
-// k = len(feats); cells must hold len(data)*k values.
-func fitR2(X [][]float64, cells []float64, data []Sample, y []float64, feats []ran.Feature) float64 {
+// fitR2 returns the R² of the OLS fit of y on feats, whose columns cols
+// holds. It builds the design matrix in X, one row per sample, with row i at
+// cells[i*k : (i+1)*k] for k = len(feats); cells must hold len(y)*k values.
+func fitR2(X [][]float64, cells []float64, cols *[ran.NumFeatures][]float64, y []float64, feats []ran.Feature) float64 {
 	if len(feats) == 0 {
 		return 0
 	}
 	k := len(feats)
-	for i := range data {
+	for i := range y {
 		row := cells[i*k : (i+1)*k]
 		for j, f := range feats {
-			row[j] = data[i].Features[f]
+			row[j] = cols[f][i]
 		}
 		X[i] = row
 	}

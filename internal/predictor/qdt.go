@@ -1,10 +1,9 @@
 package predictor
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
-	"slices"
+	"math"
 	"strings"
 
 	"concordia/internal/ran"
@@ -114,40 +113,78 @@ func newGrower(data []Sample, feats []ran.Feature, cfg TreeConfig) *grower {
 		cols:    make([][]float64, len(feats)),
 		order:   make([]int, n),
 		sorted:  make([][]int, len(feats)),
-		scratch: make([]int, 0, n),
 		buf:     make([]float64, n),
 	}
-	for j, s := range data {
-		g.runtime[j] = float64(s.Runtime)
+	for j := range data {
+		g.runtime[j] = float64(data[j].Runtime)
 		g.order[j] = j
 	}
 	// Ties are ordered by sample index, which makes the sort deterministic;
 	// no result depends on the order of tied samples (see bestCut).
-	type keyed struct {
-		v float64
-		j int
-	}
-	pairs := make([]keyed, n)
+	spare := make([]int, n)
 	for k, f := range feats {
 		col := make([]float64, n)
-		for j, s := range data {
-			col[j] = s.Features.Get(f)
-			pairs[j] = keyed{col[j], j}
-		}
-		slices.SortFunc(pairs, func(a, b keyed) int {
-			if c := cmp.Compare(a.v, b.v); c != 0 {
-				return c
-			}
-			return cmp.Compare(a.j, b.j)
-		})
-		idx := make([]int, n)
-		for i, p := range pairs {
-			idx[i] = p.j
+		for j := range data {
+			col[j] = data[j].Features[f]
 		}
 		g.cols[k] = col
-		g.sorted[k] = idx
+		g.sorted[k], spare = radixOrder(col, make([]int, n), spare)
 	}
+	g.scratch = spare[:0]
 	return g
+}
+
+// sortKey maps v to a key whose unsigned order is cmp.Compare's order of
+// float64 values: every NaN first and all equal, then -Inf up to +Inf, with
+// -0 equal to +0. It sets a positive value's sign bit and flips every bit
+// of a negative one.
+func sortKey(v float64) uint64 {
+	switch {
+	case math.IsNaN(v):
+		return 0
+	case v == 0:
+		v = 0 // -0 sorts as +0
+	}
+	b := math.Float64bits(v)
+	return b ^ (uint64(int64(b)>>63) | 1<<63)
+}
+
+// radixOrder lists col's indices by ascending sortKey, ties in index order:
+// a stable least-significant-digit radix sort over the key's eight bytes
+// that skips any byte every key shares. idx and spare are buffers of
+// len(col); it returns the list, in one of them, and the other as spare.
+func radixOrder(col []float64, idx, spare []int) (sorted, rest []int) {
+	if len(col) == 0 {
+		return idx, spare
+	}
+	var counts [8][256]int
+	for j, v := range col {
+		key := sortKey(v)
+		for p := range counts {
+			counts[p][byte(key>>(8*p))]++
+		}
+		idx[j] = j
+	}
+	first := sortKey(col[0])
+	for p := range counts {
+		shift := 8 * p
+		c := &counts[p]
+		if c[byte(first>>shift)] == len(col) {
+			continue // every key has this byte
+		}
+		start := 0
+		for d, m := range c {
+			c[d] = start
+			start += m
+		}
+		for _, j := range idx {
+			d := byte(sortKey(col[j]) >> shift)
+			spare[c[d]] = j
+			c[d]++
+		}
+		idx, spare = spare, idx
+	}
+	return idx, spare
 }
 
 // candidate is a growable node with its precomputed best split.

@@ -7,7 +7,7 @@ import (
 	"concordia/internal/rng"
 )
 
-// distanceCorrelationMatrix is the textbook form of DistanceCorrelation: it
+// distanceCorrelationMatrix is the textbook form of DistanceCorrelations: it
 // builds both double-centered n×n distance matrices, then sums their
 // products. It is the reference the streaming form must match bit for bit.
 func distanceCorrelationMatrix(x, y []float64) float64 {
@@ -70,54 +70,94 @@ func centeredDistances(x []float64) [][]float64 {
 	return d
 }
 
+// dcorColumns returns the columns the batched form is checked on, all of n
+// rows: one from each generator, a constant one and one that varies in its
+// last row only.
+func dcorColumns(n int, cont, ties func() float64) [][]float64 {
+	cols := make([][]float64, 4)
+	for c := range cols {
+		cols[c] = make([]float64, n)
+	}
+	for i := 0; i < n; i++ {
+		cols[0][i] = cont()
+		cols[1][i] = ties()
+		cols[2][i] = 3
+		cols[3][i] = 1
+	}
+	if n > 0 {
+		cols[3][n-1] = 2
+	}
+	return cols
+}
+
 func TestDistanceCorrelationMatchesMatrixForm(t *testing.T) {
 	r := rng.New(11)
+	cont := func() float64 { return r.LogNormal(0, 1) }
+	// Integer values from a small range: many tied distances, and
+	// columns like the codeblock and UE counts feature selection sees.
+	ties := func() float64 { return float64(r.Intn(6)) }
+	// The runtime column depends on one generator's column, plus noise from
+	// the same generator.
 	gens := []struct {
 		name string
+		col  int
 		draw func() float64
 	}{
-		{"continuous", func() float64 { return r.LogNormal(0, 1) }},
-		// Integer values from a small range: many tied distances, and
-		// columns like the codeblock and UE counts feature selection sees.
-		{"ties", func() float64 { return float64(r.Intn(6)) }},
+		{"continuous", 0, cont},
+		{"ties", 1, ties},
 	}
-	for _, g := range gens {
-		for _, n := range []int{0, 1, 2, 3, 17, 100, 399, 400, 799, 800} {
-			x := make([]float64, n)
+	// 1025 is past every row count feature selection sends (fewer than 800).
+	for _, n := range []int{0, 1, 2, 3, 17, 100, 399, 400, 799, 800, 1025} {
+		for _, g := range gens {
+			cols := dcorColumns(n, cont, ties)
 			y := make([]float64, n)
-			for i := range x {
-				x[i] = g.draw()
-				y[i] = 0.5*x[i] + g.draw()
+			for i := range y {
+				y[i] = 0.5*cols[g.col][i] + g.draw()
 			}
-			got, want := DistanceCorrelation(x, y), distanceCorrelationMatrix(x, y)
-			if math.Float64bits(got) != math.Float64bits(want) {
-				t.Errorf("%s n=%d: dcor %v, matrix form %v", g.name, n, got, want)
+			got := make([]float64, len(cols))
+			DistanceCorrelations(got, cols, y, nil)
+			for c, x := range cols {
+				if want := distanceCorrelationMatrix(x, y); math.Float64bits(got[c]) != math.Float64bits(want) {
+					t.Errorf("%s n=%d column %d: dcor %v, matrix form %v", g.name, n, c, got[c], want)
+				}
 			}
 		}
 	}
-	// Past the stack-held row means, the heap fallback must agree too.
-	n := dcorStackRows + 1
+	// A column against itself and a non-monotone dependence.
+	n := 1025
 	x := make([]float64, n)
 	y := make([]float64, n)
 	for i := range x {
 		x[i] = r.Normal(0, 1)
 		y[i] = x[i] * x[i]
 	}
-	got, want := DistanceCorrelation(x, y), distanceCorrelationMatrix(x, y)
-	if math.Float64bits(got) != math.Float64bits(want) {
-		t.Errorf("n=%d: dcor %v, matrix form %v", n, got, want)
+	cols := [][]float64{x, y}
+	got := make([]float64, len(cols))
+	DistanceCorrelations(got, cols, y, nil)
+	for c, col := range cols {
+		if want := distanceCorrelationMatrix(col, y); math.Float64bits(got[c]) != math.Float64bits(want) {
+			t.Errorf("n=%d column %d: dcor %v, matrix form %v", n, c, got[c], want)
+		}
 	}
 }
 
 func TestDistanceCorrelationAllocFree(t *testing.T) {
 	r := rng.New(12)
-	x := make([]float64, 800)
-	y := make([]float64, 800)
-	for i := range x {
-		x[i] = r.Float64()
+	const n = 800
+	cols := make([][]float64, 3)
+	for c := range cols {
+		cols[c] = make([]float64, n)
+	}
+	y := make([]float64, n)
+	for i := range y {
+		for _, col := range cols {
+			col[i] = r.Float64()
+		}
 		y[i] = r.Float64()
 	}
-	if allocs := testing.AllocsPerRun(5, func() { _ = DistanceCorrelation(x, y) }); allocs != 0 {
-		t.Fatalf("DistanceCorrelation allocates %v times per call at n=800", allocs)
+	out := make([]float64, len(cols))
+	scratch := make([]float64, (len(cols)+2)*n+3*len(cols))
+	if allocs := testing.AllocsPerRun(5, func() { DistanceCorrelations(out, cols, y, scratch) }); allocs != 0 {
+		t.Fatalf("DistanceCorrelations allocates %v times per call at n=%d", allocs, n)
 	}
 }

@@ -217,6 +217,13 @@ func TestCorrelation(t *testing.T) {
 	}
 }
 
+// distanceCorrelation scores the one column x against y.
+func distanceCorrelation(x, y []float64) float64 {
+	var d [1]float64
+	DistanceCorrelations(d[:], [][]float64{x}, y, nil)
+	return d[0]
+}
+
 func TestDistanceCorrelationLinear(t *testing.T) {
 	r := rng.New(4)
 	n := 200
@@ -228,11 +235,14 @@ func TestDistanceCorrelationLinear(t *testing.T) {
 		y[i] = 3*x[i] + 0.01*r.Normal(0, 1)
 		z[i] = r.Normal(0, 1)
 	}
-	if d := DistanceCorrelation(x, y); d < 0.95 {
-		t.Errorf("dcor of near-linear relation = %v want ~1", d)
+	// Both columns are scored against x in one call.
+	d := make([]float64, 2)
+	DistanceCorrelations(d, [][]float64{y, z}, x, nil)
+	if d[0] < 0.95 {
+		t.Errorf("dcor of near-linear relation = %v want ~1", d[0])
 	}
-	if d := DistanceCorrelation(x, z); d > 0.3 {
-		t.Errorf("dcor of independent variables = %v want ~0", d)
+	if d[1] > 0.3 {
+		t.Errorf("dcor of independent variables = %v want ~0", d[1])
 	}
 }
 
@@ -247,7 +257,7 @@ func TestDistanceCorrelationNonlinear(t *testing.T) {
 		y[i] = x[i] * x[i]
 	}
 	pearson := math.Abs(Correlation(x, y))
-	dcor := DistanceCorrelation(x, y)
+	dcor := distanceCorrelation(x, y)
 	if pearson > 0.3 {
 		t.Skipf("sample accidentally correlated: %v", pearson)
 	}
@@ -266,7 +276,7 @@ func TestDistanceCorrelationRange(t *testing.T) {
 			x[i] = r.Normal(0, 1)
 			y[i] = r.LogNormal(0, 1)
 		}
-		d := DistanceCorrelation(x, y)
+		d := distanceCorrelation(x, y)
 		return d >= 0 && d <= 1
 	}, &quick.Config{MaxCount: 30})
 	if err != nil {
@@ -559,17 +569,27 @@ func BenchmarkQuantile(b *testing.B) {
 	}
 }
 
+// BenchmarkDistanceCorrelation scores 8 columns of 400 rows against one
+// response, the shape feature selection sends.
 func BenchmarkDistanceCorrelation(b *testing.B) {
+	const n, k = 400, 8
 	r := rng.New(2)
-	n := 200
-	x := make([]float64, n)
+	cols := make([][]float64, k)
+	for c := range cols {
+		cols[c] = make([]float64, n)
+		for i := range cols[c] {
+			cols[c][i] = r.Float64()
+		}
+	}
 	y := make([]float64, n)
-	for i := range x {
-		x[i] = r.Float64()
+	for i := range y {
 		y[i] = r.Float64()
 	}
+	out := make([]float64, k)
+	scratch := make([]float64, (k+2)*n+3*k)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = DistanceCorrelation(x, y)
+		DistanceCorrelations(out, cols, y, scratch)
 	}
 }

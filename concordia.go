@@ -70,9 +70,6 @@ type (
 	// FleetResult is a fleet run's outcome: placement and migration counts,
 	// fleet-wide deadline misses, and the pooling-gain accounting.
 	FleetResult = fleet.Result
-	// FleetPlacementConfig tunes the fleet's admission and hysteresis
-	// migration policy.
-	FleetPlacementConfig = fleet.PlacementConfig
 	// SLOOptions enables the streaming SLO plane (DESIGN.md §5j): windowed
 	// mergeable quantile sketches, per-slice burn-rate alerts, and the fleet
 	// health report over the URLLC and eMBB slices. Attach via Config.SLO

@@ -2,16 +2,16 @@
 // fleet of FEC devices (ACC100-like; the paper's testbed uses a Terasic
 // DE5-Net) that offload LDPC encoding and decoding. Each device partitions
 // its processing engines behind SR-IOV virtual functions (VFs), and each VF
-// exposes one admission queue per 4G/5G UL/DL queue group, mirroring how
+// exposes one admission queue per 5G UL/DL queue group, mirroring how
 // production FEC operators configure the hardware. Offloaded work leaves the
 // CPU after a small submit cost and completes after queueing plus
 // per-codeblock processing on one of the device's engines; the DAG cannot
 // progress past the offloaded task until the device finishes — the blocking
 // time Table 4 quantifies.
 //
-// The zero-shape configuration (Devices/VFsPerDevice ≤ 1, QueueDepth = 0)
-// collapses to the original flat-lane FIFO model, so legacy callers see
-// identical schedules.
+// NewFleet fixes an accelerator's shape, as an operator provisions a card
+// once and then offloads to it; afterwards only device resets
+// (SetDeviceDown, Reconcile) change which devices serve.
 package accel
 
 import (
@@ -22,9 +22,8 @@ import (
 )
 
 // QueueGroup identifies a device admission queue class. Real FEC devices
-// partition VF queues by radio generation and direction; the simulator's
-// workloads only exercise the 5G groups today, but the 4G groups are modeled
-// so depth re-partitioning matches the hardware's group-granular config.
+// partition VF queues by radio generation and direction; the simulator
+// offloads only 5G LDPC work, so only the 5G groups exist.
 type QueueGroup uint8
 
 const (
@@ -32,22 +31,9 @@ const (
 	QG5GUL QueueGroup = iota
 	// QG5GDL carries 5G downlink FEC: LDPC encode.
 	QG5GDL
-	// QG4GUL carries 4G uplink FEC (turbo decode); reserved.
-	QG4GUL
-	// QG4GDL carries 4G downlink FEC (turbo encode); reserved.
-	QG4GDL
 
 	numQueueGroups
 )
-
-var queueGroupNames = [numQueueGroups]string{"5g_ul", "5g_dl", "4g_ul", "4g_dl"}
-
-func (g QueueGroup) String() string {
-	if int(g) < len(queueGroupNames) {
-		return queueGroupNames[g]
-	}
-	return "unknown"
-}
 
 // GroupFor maps an offloadable task kind to its device queue group. The
 // second return value is false for kinds the device does not handle.
@@ -62,49 +48,24 @@ func GroupFor(kind ran.TaskKind) (QueueGroup, bool) {
 	}
 }
 
-// Accelerator models the offload device fleet.
+// Accelerator models the offload device fleet. NewFleet sets its shape.
 type Accelerator struct {
-	// Lanes is the total number of independent processing engines across
-	// the fleet, distributed round-robin over Devices (low-indexed devices
-	// take the remainder).
-	Lanes int
-	// PerCodeblock is the device processing time per LDPC codeblock
-	// (decode); encode runs at half that.
-	PerCodeblock sim.Time
-	// SubmitCost is the CPU-side cost of DMA setup per offload request.
-	// A batched submission pays it once for the whole batch.
-	SubmitCost sim.Time
-
-	// Devices is the number of FEC devices the engines are spread across.
-	// Values ≤ 1 mean a single device (the legacy model).
-	Devices int
-	// VFsPerDevice is the number of SR-IOV virtual functions per device.
-	// Values ≤ 1 mean one VF per device.
-	VFsPerDevice int
-	// QueueDepth is the nominal per-VF, per-queue-group admission bound.
-	// 0 means unbounded (the legacy model). Reconcile re-partitions the
-	// aggregate depth across the devices currently up, so surviving VFs
-	// deepen when a device resets.
-	QueueDepth int
-
 	// Probe, when non-nil, observes every accepted offload request at
 	// submission time (telemetry attaches here). The record carries the
 	// device-side schedule the model already decided — start, completion,
 	// device/VF/engine — so the observer needs no further bookkeeping.
 	Probe func(OffloadRecord)
 
-	// Busy integrates device busy engine-time for utilization accounting.
-	Busy sim.Time
-
+	// perCodeblock is the device time per LDPC codeblock (decode; encode
+	// runs at half that). submitCost is the CPU-side DMA setup cost per
+	// transfer.
+	perCodeblock, submitCost sim.Time
+	// depth is the nominal per-VF, per-queue-group admission bound (≤ 0 =
+	// unbounded); vfDepth is the bound in force, which Reconcile
+	// re-partitions across the devices up.
+	depth, vfDepth int
+	// devs all have the same number of engines and VFs.
 	devs []device
-	// shape caches the exported fields devs was built for, so submissions
-	// reconcile lazily after field mutation (struct-literal construction,
-	// Lanes raised after NewFleet).
-	shape fleetShape
-}
-
-type fleetShape struct {
-	lanes, devices, vfs, depth int
 }
 
 // device is one ACC100-like FEC card: a slice of processing engines plus the
@@ -113,23 +74,14 @@ type device struct {
 	// down marks a device in reset: it accepts no new submissions while
 	// in-flight work drains.
 	down bool
-	// base is the global lane index of engine 0, so OffloadRecord.Lane
-	// stays a fleet-wide identifier.
-	base int
 	// engineFree[i] is when engine i next becomes idle (FIFO per engine).
 	engineFree []sim.Time
 	vfs        []vf
 }
 
-// vf is one SR-IOV virtual function: per-queue-group admission queues.
-type vf struct {
-	// pending holds completion times of in-flight requests per queue
-	// group; entries at or before now are drained at admission.
-	pending [numQueueGroups][]sim.Time
-	// depth is the re-partitioned admission bound per group (0 =
-	// unbounded).
-	depth [numQueueGroups]int
-}
+// vf is one SR-IOV virtual function: the completion times of its in-flight
+// requests per queue group. Entries at or before now drain at admission.
+type vf [numQueueGroups][]sim.Time
 
 // OffloadRecord describes one accepted accelerator request.
 type OffloadRecord struct {
@@ -137,7 +89,8 @@ type OffloadRecord struct {
 	// bound the device processing interval on the chosen engine.
 	Submitted, Start, Done sim.Time
 	Kind                   ran.TaskKind
-	// Lane is the fleet-wide engine index (device base + engine).
+	// Lane is the fleet-wide engine index (device × engines per device +
+	// engine).
 	Lane int
 	// Device and VF identify the admission route.
 	Device, VF int
@@ -154,26 +107,28 @@ func DefaultFPGA() *Accelerator {
 
 // NewFleet constructs an accelerator: devices cards, each with
 // enginesPerDevice engines and vfsPerDevice VFs, each VF bounded to
-// queueDepth in-flight requests per queue group (0 = unbounded). Shape
-// values below one mean one device, engine and VF.
+// queueDepth in-flight requests per queue group (≤ 0 = unbounded). Shape
+// values below one mean one device, engine and VF. perCodeblock is the
+// device time per decoded codeblock, submitCost the CPU-side cost of one
+// DMA transfer.
 func NewFleet(devices, vfsPerDevice, enginesPerDevice, queueDepth int, perCodeblock, submitCost sim.Time) *Accelerator {
-	if devices < 1 {
-		devices = 1
-	}
-	if enginesPerDevice < 1 {
-		enginesPerDevice = 1
-	}
 	a := &Accelerator{
-		Lanes:        devices * enginesPerDevice,
-		PerCodeblock: perCodeblock,
-		SubmitCost:   submitCost,
-		Devices:      devices,
-		VFsPerDevice: vfsPerDevice,
-		QueueDepth:   queueDepth,
+		perCodeblock: perCodeblock,
+		submitCost:   submitCost,
+		depth:        queueDepth,
+		vfDepth:      queueDepth,
+		devs:         make([]device, max(devices, 1)),
 	}
-	a.reconcileShape()
+	for i := range a.devs {
+		a.devs[i].engineFree = make([]sim.Time, max(enginesPerDevice, 1))
+		a.devs[i].vfs = make([]vf, max(vfsPerDevice, 1))
+	}
 	return a
 }
+
+// SubmitCost is the CPU-side cost of DMA setup per offload request. A
+// batched submission pays it once for the whole batch.
+func (a *Accelerator) SubmitCost() sim.Time { return a.submitCost }
 
 // Offloads reports whether the device handles the given task kind.
 func (a *Accelerator) Offloads(kind ran.TaskKind) bool {
@@ -184,15 +139,10 @@ func (a *Accelerator) Offloads(kind ran.TaskKind) bool {
 // ErrNotOffloadable is returned for task kinds the device does not handle.
 var ErrNotOffloadable = errors.New("accel: task kind not offloadable")
 
-// ErrNoLanes is returned by Submit when the device has no processing lanes
-// (a zero-value or misconfigured Accelerator). Callers recover by executing
-// on the CPU instead; previously this indexed an empty lane table and
-// panicked.
-var ErrNoLanes = errors.New("accel: accelerator has no processing lanes")
-
-// ErrInvalidRate is returned by Submit when PerCodeblock is non-positive: a
-// zero or negative processing rate would complete requests instantly or in
-// the past, wedging or panicking the discrete-event engine downstream.
+// ErrInvalidRate is returned by Submit when the per-codeblock time is
+// non-positive: a zero or negative processing rate would complete requests
+// instantly or in the past, wedging or panicking the discrete-event engine
+// downstream.
 var ErrInvalidRate = errors.New("accel: non-positive per-codeblock processing time")
 
 // ErrQueueFull is returned by Submit when every candidate VF queue for the
@@ -207,7 +157,7 @@ var ErrDeviceDown = errors.New("accel: all devices in reset")
 
 // processing returns the device time for one request.
 func (a *Accelerator) processing(kind ran.TaskKind, codeblocks int) (sim.Time, error) {
-	if a.PerCodeblock <= 0 {
+	if a.perCodeblock <= 0 {
 		return 0, ErrInvalidRate
 	}
 	if codeblocks < 1 {
@@ -215,118 +165,34 @@ func (a *Accelerator) processing(kind ran.TaskKind, codeblocks int) (sim.Time, e
 	}
 	switch kind {
 	case ran.TaskLDPCDecode:
-		return a.PerCodeblock * sim.Time(codeblocks), nil
+		return a.perCodeblock * sim.Time(codeblocks), nil
 	case ran.TaskLDPCEncode:
-		// Multiply before halving: dividing PerCodeblock first truncated
-		// away up to codeblocks/2 time units on odd rates.
-		return a.PerCodeblock * sim.Time(codeblocks) / 2, nil
+		// Multiply before halving: dividing the rate first truncated away
+		// up to codeblocks/2 time units on odd rates.
+		return a.perCodeblock * sim.Time(codeblocks) / 2, nil
 	default:
 		return 0, ErrNotOffloadable
 	}
 }
 
-// normalShape returns the exported shape fields clamped to their effective
-// values (≥1 device and VF, depth ≥ 0).
-func (a *Accelerator) normalShape() fleetShape {
-	s := fleetShape{lanes: a.Lanes, devices: a.Devices, vfs: a.VFsPerDevice, depth: a.QueueDepth}
-	if s.devices < 1 {
-		s.devices = 1
-	}
-	if s.vfs < 1 {
-		s.vfs = 1
-	}
-	if s.depth < 0 {
-		s.depth = 0
-	}
-	return s
-}
-
-// reconcileShape rebuilds the device/VF topology whenever the exported shape
-// fields changed since the last build (or were never built: struct-literal
-// construction). Engine schedules are preserved by global lane index and
-// down flags by device index, so raising Lanes mid-run keeps the in-flight
-// FIFO state — the legacy model instead kept scanning a stale shorter table
-// while Utilization divided by the new Lanes.
-func (a *Accelerator) reconcileShape() {
-	want := a.normalShape()
-	if a.devs != nil && a.shape == want {
-		return
-	}
-	var oldFree []sim.Time
-	var oldDown []bool
-	for i := range a.devs {
-		oldFree = append(oldFree, a.devs[i].engineFree...)
-		oldDown = append(oldDown, a.devs[i].down)
-	}
-	lanes := want.lanes
-	if lanes < 0 {
-		lanes = 0
-	}
-	a.devs = make([]device, want.devices)
-	per, extra := lanes/want.devices, lanes%want.devices
-	base := 0
-	for di := range a.devs {
-		n := per
-		if di < extra {
-			n++
-		}
-		d := &a.devs[di]
-		d.base = base
-		d.engineFree = make([]sim.Time, n)
-		for ei := range d.engineFree {
-			if g := base + ei; g < len(oldFree) {
-				d.engineFree[ei] = oldFree[g]
-			}
-		}
-		if di < len(oldDown) {
-			d.down = oldDown[di]
-		}
-		d.vfs = make([]vf, want.vfs)
-		base += n
-	}
-	a.shape = want
-	a.partitionDepths()
-}
-
-// partitionDepths spreads the fleet's aggregate admission depth evenly
-// (ceiling division) across the VFs of the devices currently up. With every
-// device down, or with QueueDepth = 0, each VF keeps its nominal depth.
-func (a *Accelerator) partitionDepths() {
-	nominal := a.shape.depth
-	aliveVFs := 0
-	if nominal > 0 {
-		for i := range a.devs {
-			if !a.devs[i].down {
-				aliveVFs += len(a.devs[i].vfs)
-			}
-		}
-	}
-	per := nominal
-	if aliveVFs > 0 {
-		total := nominal * a.shape.vfs * a.shape.devices
-		per = (total + aliveVFs - 1) / aliveVFs
-	}
-	for di := range a.devs {
-		for vi := range a.devs[di].vfs {
-			for g := range a.devs[di].vfs[vi].depth {
-				a.devs[di].vfs[vi].depth[g] = per
-			}
-		}
-	}
-}
-
-// Reconcile re-partitions the per-VF queue-group depths across the devices
+// Reconcile re-partitions the VF queue-group depths across the devices
 // currently up — the operator reconciliation loop reacting to a device
-// leaving or rejoining the fleet. It returns the number of devices serving
-// traffic.
+// leaving or rejoining the fleet. The aggregate depth (nominal depth × VFs
+// × devices) is spread evenly, by ceiling division, over the surviving VFs,
+// so they deepen when a device resets; with every device down, or with an
+// unbounded depth, each VF keeps the nominal depth. It returns the number of
+// devices serving traffic.
 func (a *Accelerator) Reconcile() int {
-	a.reconcileShape()
-	a.partitionDepths()
 	alive := 0
 	for i := range a.devs {
 		if !a.devs[i].down {
 			alive++
 		}
+	}
+	a.vfDepth = a.depth
+	if a.depth > 0 && alive > 0 {
+		// Every device has the same VF count, so it cancels from the ratio.
+		a.vfDepth = (a.depth*len(a.devs) + alive - 1) / alive
 	}
 	return alive
 }
@@ -336,7 +202,6 @@ func (a *Accelerator) Reconcile() int {
 // submissions; in-flight work on its engines drains at the already-decided
 // completion times.
 func (a *Accelerator) SetDeviceDown(dev int, down bool) bool {
-	a.reconcileShape()
 	if dev < 0 || dev >= len(a.devs) || a.devs[dev].down == down {
 		return false
 	}
@@ -345,16 +210,7 @@ func (a *Accelerator) SetDeviceDown(dev int, down bool) bool {
 }
 
 // DeviceCount returns the number of devices in the fleet.
-func (a *Accelerator) DeviceCount() int {
-	a.reconcileShape()
-	return len(a.devs)
-}
-
-// DeviceDown reports whether device dev is currently in reset.
-func (a *Accelerator) DeviceDown(dev int) bool {
-	a.reconcileShape()
-	return dev >= 0 && dev < len(a.devs) && a.devs[dev].down
-}
+func (a *Accelerator) DeviceCount() int { return len(a.devs) }
 
 // drainPending removes completed entries (done ≤ now) in place.
 func drainPending(q []sim.Time, now sim.Time) []sim.Time {
@@ -368,28 +224,27 @@ func drainPending(q []sim.Time, now sim.Time) []sim.Time {
 	return q[:w]
 }
 
-// submitOne admits one request: pick the up device with the earliest-free
-// engine, route through its least-loaded VF queue for the request's queue
-// group, and schedule FIFO on the engine.
-func (a *Accelerator) submitOne(now sim.Time, kind ran.TaskKind, codeblocks int) (sim.Time, error) {
+// Submit enqueues a request at time now and returns its completion time.
+// Admission picks the up device with the earliest-free engine (ties to the
+// lowest index), routes through that device's least-loaded VF queue for the
+// request's queue group, and schedules FIFO on the engine. A request the
+// fleet cannot take returns a typed error (ErrNotOffloadable,
+// ErrInvalidRate, ErrQueueFull, ErrDeviceDown) so the pool can fall back to
+// CPU execution.
+func (a *Accelerator) Submit(now sim.Time, kind ran.TaskKind, codeblocks int) (sim.Time, error) {
 	proc, err := a.processing(kind, codeblocks)
 	if err != nil {
 		return 0, err
 	}
-	if a.Lanes <= 0 {
-		return 0, ErrNoLanes
-	}
-	a.reconcileShape()
 	group, _ := GroupFor(kind)
 
 	bestDev, bestEng := -1, -1
 	var bestFree sim.Time
 	for di := range a.devs {
-		d := &a.devs[di]
-		if d.down || len(d.engineFree) == 0 {
+		if a.devs[di].down {
 			continue
 		}
-		for ei, free := range d.engineFree {
+		for ei, free := range a.devs[di].engineFree {
 			if bestDev < 0 || free < bestFree {
 				bestDev, bestEng, bestFree = di, ei, free
 			}
@@ -402,42 +257,28 @@ func (a *Accelerator) submitOne(now sim.Time, kind ran.TaskKind, codeblocks int)
 
 	bestVF, bestLen := 0, -1
 	for vi := range d.vfs {
-		d.vfs[vi].pending[group] = drainPending(d.vfs[vi].pending[group], now)
-		if n := len(d.vfs[vi].pending[group]); bestLen < 0 || n < bestLen {
-			bestVF, bestLen = vi, n
+		q := drainPending(d.vfs[vi][group], now)
+		d.vfs[vi][group] = q
+		if bestLen < 0 || len(q) < bestLen {
+			bestVF, bestLen = vi, len(q)
 		}
 	}
-	v := &d.vfs[bestVF]
-	if dep := v.depth[group]; dep > 0 && bestLen >= dep {
+	if a.vfDepth > 0 && bestLen >= a.vfDepth {
 		return 0, ErrQueueFull
 	}
 
-	start := bestFree
-	if start < now {
-		start = now
-	}
+	start := max(bestFree, now)
 	done := start + proc
 	d.engineFree[bestEng] = done
-	v.pending[group] = append(v.pending[group], done)
-	a.Busy += proc
+	d.vfs[bestVF][group] = append(d.vfs[bestVF][group], done)
 	if a.Probe != nil {
 		a.Probe(OffloadRecord{
 			Submitted: now, Start: start, Done: done,
-			Kind: kind, Lane: d.base + bestEng,
+			Kind: kind, Lane: bestDev*len(d.engineFree) + bestEng,
 			Device: bestDev, VF: bestVF, Codeblocks: codeblocks,
 		})
 	}
 	return done, nil
-}
-
-// Submit enqueues a request at time now and returns its completion time.
-// Admission routes through the up device with the earliest-free engine and
-// that device's least-loaded VF queue for the request's queue group (FIFO per
-// engine). A misconfigured or saturated fleet returns a typed error
-// (ErrNoLanes, ErrInvalidRate, ErrQueueFull, ErrDeviceDown) so the pool can
-// fall back to CPU execution.
-func (a *Accelerator) Submit(now sim.Time, kind ran.TaskKind, codeblocks int) (sim.Time, error) {
-	return a.submitOne(now, kind, codeblocks)
 }
 
 // SubmitBatch admits up to len(codeblocks) same-kind requests as one
@@ -451,7 +292,7 @@ func (a *Accelerator) SubmitBatch(now sim.Time, kind ran.TaskKind, codeblocks []
 		return 0, errors.New("accel: dones buffer shorter than codeblocks")
 	}
 	for i, cbs := range codeblocks {
-		done, err := a.submitOne(now, kind, cbs)
+		done, err := a.Submit(now, kind, cbs)
 		if err != nil {
 			return i, err
 		}
@@ -466,12 +307,4 @@ func (a *Accelerator) SubmitBatch(now sim.Time, kind ran.TaskKind, codeblocks []
 // zero-with-error result as "free".
 func (a *Accelerator) Expected(kind ran.TaskKind, codeblocks int) (sim.Time, error) {
 	return a.processing(kind, codeblocks)
-}
-
-// Utilization returns device busy time over lanes × elapsed.
-func (a *Accelerator) Utilization(elapsed sim.Time) float64 {
-	if elapsed <= 0 {
-		return 0
-	}
-	return a.Busy.Seconds() / (float64(a.Lanes) * elapsed.Seconds())
 }

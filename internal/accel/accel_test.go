@@ -98,17 +98,6 @@ func TestSubmitAfterIdle(t *testing.T) {
 	}
 }
 
-func TestUtilization(t *testing.T) {
-	a := NewFleet(1, 1, 2, 0, sim.FromUs(10), sim.FromUs(1))
-	a.Submit(0, ran.TaskLDPCDecode, 5) // 50µs busy
-	if u := a.Utilization(sim.FromUs(100)); u < 0.24 || u > 0.26 {
-		t.Fatalf("utilization %v want 0.25 (50µs of 200 lane-µs)", u)
-	}
-	if a.Utilization(0) != 0 {
-		t.Fatal("zero elapsed must give zero utilization")
-	}
-}
-
 func TestZeroCodeblocksClamped(t *testing.T) {
 	a := DefaultFPGA()
 	v, err := a.Expected(ran.TaskLDPCDecode, 0)
@@ -127,31 +116,15 @@ func BenchmarkSubmit(b *testing.B) {
 	}
 }
 
-// Regression: a struct-literal accelerator with zero lanes used to index an
-// empty lane table in Submit and panic; it must return ErrNoLanes instead.
-func TestSubmitZeroLanesTypedError(t *testing.T) {
-	a := &Accelerator{Lanes: 0, PerCodeblock: sim.FromUs(10), SubmitCost: sim.FromUs(1)}
-	if _, err := a.Submit(0, ran.TaskLDPCDecode, 2); err != ErrNoLanes {
-		t.Fatalf("got %v want ErrNoLanes", err)
+// NewFleet builds at least one device, VF and engine: the zero shape is a
+// working single-engine accelerator, so two requests serialize.
+func TestNewFleetZeroShapeHasOneEngine(t *testing.T) {
+	a := NewFleet(0, 0, 0, 0, sim.FromUs(10), sim.FromUs(1))
+	if n := a.DeviceCount(); n != 1 {
+		t.Fatalf("zero shape built %d devices, want 1", n)
 	}
-}
-
-// Regression: a non-positive PerCodeblock produced zero-or-negative device
-// times (instant completions, or completion times in the past that panic the
-// event engine); Submit must reject it with ErrInvalidRate.
-func TestSubmitInvalidRateTypedError(t *testing.T) {
-	for _, per := range []sim.Time{0, -sim.FromUs(5)} {
-		a := &Accelerator{Lanes: 2, PerCodeblock: per, SubmitCost: sim.FromUs(1)}
-		if _, err := a.Submit(0, ran.TaskLDPCDecode, 2); err != ErrInvalidRate {
-			t.Fatalf("PerCodeblock=%v: got %v want ErrInvalidRate", per, err)
-		}
-	}
-}
-
-// A struct-literal accelerator with valid lanes but no NewFleet call must
-// work: Submit sizes the lane table lazily.
-func TestSubmitStructLiteralLazyLanes(t *testing.T) {
-	a := &Accelerator{Lanes: 2, PerCodeblock: sim.FromUs(10), SubmitCost: sim.FromUs(1)}
+	var ids []int
+	a.Probe = func(r OffloadRecord) { ids = append(ids, r.Lane, r.Device, r.VF) }
 	d1, err := a.Submit(0, ran.TaskLDPCDecode, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -160,8 +133,25 @@ func TestSubmitStructLiteralLazyLanes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d1 != sim.FromUs(10) || d2 != sim.FromUs(10) {
-		t.Fatalf("two requests must run on parallel lanes: %v %v", d1, d2)
+	if d1 != sim.FromUs(10) || d2 != sim.FromUs(20) {
+		t.Fatalf("completions %v %v, want 10us and 20us on one engine", d1, d2)
+	}
+	for _, id := range ids {
+		if id != 0 {
+			t.Fatalf("lane/device/VF ids %v, want all 0", ids)
+		}
+	}
+}
+
+// Regression: a non-positive per-codeblock time produced zero-or-negative
+// device times (instant completions, or completion times in the past that
+// panic the event engine); Submit must reject it with ErrInvalidRate.
+func TestSubmitInvalidRateTypedError(t *testing.T) {
+	for _, per := range []sim.Time{0, -sim.FromUs(5)} {
+		a := NewFleet(1, 1, 2, 0, per, sim.FromUs(1))
+		if _, err := a.Submit(0, ran.TaskLDPCDecode, 2); err != ErrInvalidRate {
+			t.Fatalf("per-codeblock %v: got %v want ErrInvalidRate", per, err)
+		}
 	}
 }
 
@@ -169,34 +159,12 @@ func TestSubmitStructLiteralLazyLanes(t *testing.T) {
 // signature swallowed ErrInvalidRate/ErrNotOffloadable and returned a bare
 // 0, which a WCET predictor reads as "offload is free".
 func TestExpectedInvalidRate(t *testing.T) {
-	a := &Accelerator{Lanes: 2, PerCodeblock: 0}
+	a := NewFleet(1, 1, 2, 0, 0, 0)
 	if _, err := a.Expected(ran.TaskLDPCDecode, 4); err != ErrInvalidRate {
 		t.Fatalf("Expected on invalid device: err = %v, want ErrInvalidRate", err)
 	}
 	b := DefaultFPGA()
 	if _, err := b.Expected(ran.TaskModulation, 4); err != ErrNotOffloadable {
 		t.Fatalf("Expected on wrong kind: err = %v, want ErrNotOffloadable", err)
-	}
-}
-
-// Regression: Submit only sized the lane table when it was empty, so raising
-// Lanes after construction kept scanning the stale shorter table while
-// Utilization divided by the new Lanes — silently under-using engines.
-func TestLanesRaisedAfterConstruction(t *testing.T) {
-	a := NewFleet(1, 1, 1, 0, sim.FromUs(10), sim.FromUs(1))
-	d1, _ := a.Submit(0, ran.TaskLDPCDecode, 1)
-	if d1 != sim.FromUs(10) {
-		t.Fatalf("first completion %v want 10us", d1)
-	}
-	a.Lanes = 2
-	// The new engine is idle, so the second request must run in parallel,
-	// and the in-flight schedule of engine 0 must be preserved.
-	d2, _ := a.Submit(0, ran.TaskLDPCDecode, 1)
-	if d2 != sim.FromUs(10) {
-		t.Fatalf("after raising Lanes, second completion %v want 10us (fresh engine)", d2)
-	}
-	d3, _ := a.Submit(0, ran.TaskLDPCDecode, 1)
-	if d3 != sim.FromUs(20) {
-		t.Fatalf("third completion %v want 20us (both engines busy until 10us)", d3)
 	}
 }

@@ -56,13 +56,15 @@ type Config struct {
 	// AccelDevices > 1 replaces the single default FPGA with a fleet of
 	// ACC100-like cards, each with two engines; AccelVFs partitions each card
 	// into SR-IOV virtual functions and AccelQueueDepth bounds each VF's
-	// per-queue-group admission (0 = unbounded). Ignored unless UseAccel.
+	// per-queue-group admission (0 = unbounded). Ignored unless UseAccel;
+	// NewSystem refuses a negative value.
 	AccelDevices    int
 	AccelVFs        int
 	AccelQueueDepth int
 	// OffloadBatch > 1 lets a submitting core coalesce up to that many
 	// same-kind ready offloadable tasks into one DMA transfer, amortizing
-	// the submit cost (the accelsweep experiment sweeps this knob).
+	// the submit cost (the accelsweep experiment sweeps this knob). NewSystem
+	// refuses a negative value.
 	OffloadBatch int
 	// IncludeMAC multiplexes the §7 MAC-layer scheduling extension on the
 	// same pool (one MAC DAG per cell per slot, one-slot deadline).
@@ -326,6 +328,19 @@ func TrainPredictorsWorkers(data map[ran.TaskKind][]predictor.Sample, margin flo
 // a deployment: a refused configuration pays for no training.
 func NewSystem(cfg Config) (*System, error) {
 	cfg.fillDefaults()
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"AccelDevices", cfg.AccelDevices},
+		{"AccelVFs", cfg.AccelVFs},
+		{"AccelQueueDepth", cfg.AccelQueueDepth},
+		{"OffloadBatch", cfg.OffloadBatch},
+	} {
+		if f.v < 0 {
+			return nil, fmt.Errorf("core: negative %s %d", f.name, f.v)
+		}
+	}
 	sched, err := cfg.buildScheduler()
 	if err != nil {
 		return nil, err

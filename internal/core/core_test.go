@@ -101,9 +101,10 @@ func TestNoCellsRejected(t *testing.T) {
 	}
 }
 
-// NewSystem checks the pool configuration before it profiles and trains:
-// a refused config fails with its own error, and TrainingSlots -1, which
-// profiles nothing, shows that no training ran first.
+// NewSystem checks the pool configuration and the accelerator shape before
+// it profiles and trains: a refused config fails with its own error, and
+// TrainingSlots -1, which profiles nothing, shows that no training ran
+// first.
 func TestNewSystemValidatesBeforeTraining(t *testing.T) {
 	for _, tc := range []struct {
 		name, want string
@@ -111,6 +112,10 @@ func TestNewSystemValidatesBeforeTraining(t *testing.T) {
 	}{
 		{"load NaN", "pool: load must be in (0,1]", func(c *Config) { c.Load = math.NaN() }},
 		{"no cores", "pool: need at least one core", func(c *Config) { c.PoolCores = 0 }},
+		{"negative devices", "core: negative AccelDevices -3", func(c *Config) { c.UseAccel, c.AccelDevices = true, -3 }},
+		{"negative VFs", "core: negative AccelVFs -1", func(c *Config) { c.UseAccel, c.AccelVFs = true, -1 }},
+		{"negative queue depth", "core: negative AccelQueueDepth -5", func(c *Config) { c.UseAccel, c.AccelQueueDepth = true, -5 }},
+		{"negative batch", "core: negative OffloadBatch -7", func(c *Config) { c.UseAccel, c.OffloadBatch = true, -7 }},
 	} {
 		cfg := Scenario20MHz(1, 2)
 		cfg.TrainingSlots = -1

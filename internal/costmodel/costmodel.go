@@ -38,15 +38,12 @@ type Env struct {
 // Model produces task runtimes. A Model is not safe for concurrent use;
 // the pool holds one per simulation.
 type Model struct {
-	// Scale is a global calibration multiplier (1.0 = the calibrated
-	// defaults below).
-	Scale float64
-	rand  *rng.Rand
+	rand *rng.Rand
 }
 
 // New returns a model with the default calibration and its own noise stream.
 func New(seed uint64) *Model {
-	return &Model{Scale: 1.0, rand: rng.New(seed)}
+	return &Model{rand: rng.New(seed)}
 }
 
 // IterationFactor is the SNR-dependent LDPC decoding-effort multiplier:
@@ -150,7 +147,7 @@ func meanUs(kind ran.TaskKind, f *ran.FeatureVector) float64 {
 // Mean returns the deterministic expected runtime of a task with features f
 // under env.
 func (m *Model) Mean(kind ran.TaskKind, f *ran.FeatureVector, env Env) sim.Time {
-	us := meanUs(kind, f) * m.Scale
+	us := meanUs(kind, f)
 	us *= StallPenalty(env.PoolCores)
 	us *= InterferenceInflation(env.Interference)
 	return sim.FromUs(us)
@@ -188,7 +185,7 @@ func (m *Model) Sample(kind ran.TaskKind, f *ran.FeatureVector, env Env) sim.Tim
 
 // SampleWith draws one stochastic runtime with noise taken from the
 // caller-provided stream r instead of the model's own. The model's
-// calibration (Scale and the coefficient tables) is read-only here, so any
+// calibration (the coefficient tables) is read-only here, so any
 // number of goroutines may call SampleWith on one Model concurrently as
 // long as each holds its own stream — the contract parallel experiment
 // shards rely on (see rng.Substream).

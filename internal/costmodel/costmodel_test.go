@@ -168,17 +168,6 @@ func TestAllKindsPositive(t *testing.T) {
 	}
 }
 
-func TestScaleMultiplier(t *testing.T) {
-	m := New(5)
-	f := decodeFeatures(5, 18)
-	base := m.Mean(ran.TaskLDPCDecode, f, Env{PoolCores: 1})
-	m.Scale = 2
-	got := m.Mean(ran.TaskLDPCDecode, f, Env{PoolCores: 1})
-	if diff := got - 2*base; diff < -2 || diff > 2 { // ns rounding tolerance
-		t.Fatalf("scale 2 mean %v want %v", got, 2*base)
-	}
-}
-
 func BenchmarkSample(b *testing.B) {
 	m := New(1)
 	f := decodeFeatures(5, 18)

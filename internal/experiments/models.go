@@ -150,7 +150,7 @@ func RunFig14Models(o Options, kind ran.TaskKind) (*Fig14Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		gb, err := predictor.TrainGradientBoosting(feats, train, predictor.GBConfig{})
+		gb, err := predictor.TrainGradientBoosting(feats, train)
 		if err != nil {
 			return nil, err
 		}
@@ -265,7 +265,7 @@ func runFig14ModelsOnly(o Options, kind ran.TaskKind) (*Fig14Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		gb, err := predictor.TrainGradientBoosting(feats, train, predictor.GBConfig{})
+		gb, err := predictor.TrainGradientBoosting(feats, train)
 		if err != nil {
 			return nil, err
 		}

@@ -108,7 +108,7 @@ func trainPredCalSet(kind ran.TaskKind, feats []ran.Feature, train []predictor.S
 	if err != nil {
 		return nil, err
 	}
-	gb, err := predictor.TrainGradientBoosting(feats, train, predictor.GBConfig{})
+	gb, err := predictor.TrainGradientBoosting(feats, train)
 	if err != nil {
 		return nil, err
 	}

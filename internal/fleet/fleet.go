@@ -47,10 +47,10 @@ type Config struct {
 	Horizon sim.Time
 	Epochs  int
 	// FronthaulBudget caps the one-way cell→server fronthaul latency a
-	// placement may use (0 selects DefaultFronthaulBudget).
+	// placement may use (0 selects DefaultFronthaulBudget). Only tests set
+	// it; it stays because a budget no server meets is the one way to reach
+	// Run's admission error (TestAllCellsOutOfBudget).
 	FronthaulBudget sim.Time
-	// Placement tunes the migration hysteresis.
-	Placement PlacementConfig
 	// Static freezes the initial placement — the partitioned baseline the
 	// pooling gain is measured against.
 	Static bool
@@ -103,7 +103,6 @@ func (c Config) withDefaults() Config {
 	if c.TrainingSlots == 0 {
 		c.TrainingSlots = core.DefaultTrainingSlots
 	}
-	c.Placement = c.Placement.withDefaults()
 	return c
 }
 
@@ -249,7 +248,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	topo := NewTopology(cfg.Cells, cfg.Servers, cfg.FronthaulBudget, cfg.Seed)
-	place := NewPlacement(topo, cfg.Placement)
+	place := NewPlacement(topo)
 
 	// Initial admission uses whole-trace mean demand — the projected load a
 	// real operator would plan partitions from.

@@ -73,11 +73,12 @@ func TestFleetWorkerDeterminism(t *testing.T) {
 }
 
 // The placement engine must never assign a cell to a server outside its
-// fronthaul budget — at admission, after every migration round, and under
-// forced migrations.
+// fronthaul budget — at admission, after every pressure-driven migration
+// round, and under forced migrations. Each server in turn is held at extreme
+// pressure for the sustain window, so ObserveEpoch itself must migrate.
 func TestPlacementNeverInfeasible(t *testing.T) {
 	topo := NewTopology(80, 6, 120*sim.Microsecond, 99)
-	p := NewPlacement(topo, PlacementConfig{SustainEpochs: 1, MaxMigrationsPerEpoch: 8})
+	p := NewPlacement(topo)
 	demand := make([]float64, 80)
 	for c := range demand {
 		demand[c] = float64(1 + c%7)
@@ -100,19 +101,22 @@ func TestPlacementNeverInfeasible(t *testing.T) {
 	}
 	check("admission")
 	pressure := make([]float64, 6)
-	for round := 0; round < 10; round++ {
+	migrated := 0
+	for round := 0; round < 6*sustainEpochs; round++ {
 		for s := range pressure {
-			// Rotate extreme pressure across servers to force migrations.
 			pressure[s] = 0
-			if s == round%6 {
+			if s == round/sustainEpochs {
 				pressure[s] = 5
 			}
 		}
-		p.ObserveEpoch(pressure, demand)
+		migrated += len(p.ObserveEpoch(pressure, demand))
 		check("migration round")
 		if _, ok := p.ForceMigrate(); ok {
 			check("forced migration")
 		}
+	}
+	if migrated == 0 {
+		t.Fatal("sustained pressure migrated no cells")
 	}
 }
 
@@ -152,19 +156,24 @@ func TestForcedMigration(t *testing.T) {
 	}
 }
 
-// The static baseline must keep its initial partition for the whole run.
+// The static baseline must keep its initial partition for the whole run:
+// the same config with a forced migration migrates when pooled and never
+// when static.
 func TestStaticNeverMigrates(t *testing.T) {
-	cfg := testConfig()
-	cfg.Static = true
-	// Pressure the placement hard so a non-static run would migrate.
-	cfg.Load = 0.8
-	cfg.Placement = PlacementConfig{HighWater: 0.01, LowWater: 2, SustainEpochs: 1}
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Migrations != 0 {
-		t.Fatalf("static baseline migrated %d cells", res.Migrations)
+	for _, static := range []bool{false, true} {
+		cfg := testConfig()
+		cfg.Static = static
+		cfg.ForceMigrateEpoch = 1
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if static && res.Migrations != 0 {
+			t.Fatalf("static baseline migrated %d cells", res.Migrations)
+		}
+		if !static && res.Migrations == 0 {
+			t.Fatal("pooled run with a forced migration migrated no cells")
+		}
 	}
 }
 

@@ -2,48 +2,29 @@ package fleet
 
 import "sort"
 
-// PlacementConfig tunes the admission and migration policy.
-type PlacementConfig struct {
-	// HighWater is the eviction threshold as a multiple of the fleet-mean
+// The migration policy's thresholds (DESIGN.md §5h).
+const (
+	// highWater is the eviction threshold as a multiple of the fleet-mean
 	// smoothed pressure (pressure = busy utilization + miss rate): a server
-	// sustained above HighWater × mean starts shedding cells. Relative
+	// sustained above highWater × mean starts shedding cells. Relative
 	// thresholds trigger on imbalance — the thing migration can fix — rather
 	// than on absolute saturation.
-	HighWater float64
-	// LowWater is the destination filter, also a multiple of the mean:
-	// cells only migrate onto servers below LowWater × mean, so a migration
+	highWater = 1.2
+	// lowWater is the destination filter, also a multiple of the mean:
+	// cells only migrate onto servers below lowWater × mean, so a migration
 	// cannot trade one hot server for another (the hysteresis band is
-	// [LowWater, HighWater] × mean).
-	LowWater float64
-	// SustainEpochs is how many consecutive epochs a server must exceed
-	// HighWater before its cells become migration candidates — one noisy
+	// [lowWater, highWater] × mean).
+	lowWater = 1.05
+	// sustainEpochs is how many consecutive epochs a server must exceed
+	// highWater before its cells become migration candidates — one noisy
 	// epoch never triggers a move.
-	SustainEpochs int
-	// CooldownEpochs pins a migrated cell to its new server for this many
+	sustainEpochs = 2
+	// cooldownEpochs pins a migrated cell to its new server for this many
 	// epochs, preventing ping-pong.
-	CooldownEpochs int
-	// MaxMigrationsPerEpoch bounds churn per placement round.
-	MaxMigrationsPerEpoch int
-}
-
-func (c PlacementConfig) withDefaults() PlacementConfig {
-	if c.HighWater == 0 {
-		c.HighWater = 1.2
-	}
-	if c.LowWater == 0 {
-		c.LowWater = 1.05
-	}
-	if c.SustainEpochs == 0 {
-		c.SustainEpochs = 2
-	}
-	if c.CooldownEpochs == 0 {
-		c.CooldownEpochs = 2
-	}
-	if c.MaxMigrationsPerEpoch == 0 {
-		c.MaxMigrationsPerEpoch = 8
-	}
-	return c
-}
+	cooldownEpochs = 2
+	// maxMigrationsPerEpoch bounds churn per placement round.
+	maxMigrationsPerEpoch = 8
+)
 
 // Migration is one placement decision: move Cell from server From to To.
 type Migration struct {
@@ -57,7 +38,6 @@ type Migration struct {
 // history is byte-identical across runs and worker counts.
 type Placement struct {
 	topo *Topology
-	cfg  PlacementConfig
 
 	// Assign maps cell → server; -1 marks a rejected cell (no server within
 	// its fronthaul budget).
@@ -65,7 +45,7 @@ type Placement struct {
 
 	ema      []float64 // per-server smoothed pressure
 	meanEma  float64   // fleet-mean smoothed pressure over occupied servers
-	hot      []int     // consecutive epochs above HighWater
+	hot      []int     // consecutive epochs above highWater
 	cooldown []int     // per-cell epochs until it may migrate again
 	load     []float64 // per-server sum of assigned cell demand
 	demand   []float64 // latest per-cell demand estimate (bytes/slot)
@@ -77,10 +57,9 @@ type Placement struct {
 const pressureFloor = 0.05
 
 // NewPlacement returns an empty placement over the topology.
-func NewPlacement(topo *Topology, cfg PlacementConfig) *Placement {
+func NewPlacement(topo *Topology) *Placement {
 	return &Placement{
 		topo:     topo,
-		cfg:      cfg.withDefaults(),
 		Assign:   make([]int, topo.Cells),
 		ema:      make([]float64, topo.Servers),
 		hot:      make([]int, topo.Servers),
@@ -128,15 +107,15 @@ func (p *Placement) nearestFeasible(c int) int {
 
 // bestServer returns the least-loaded feasible server for cell c, excluding
 // `exclude`; with lowOnly set, only servers whose smoothed pressure is below
-// LowWater qualify. Ties break to the lowest server index. Returns -1 when
-// no server qualifies.
+// lowWater × the fleet mean qualify. Ties break to the lowest server index.
+// Returns -1 when no server qualifies.
 func (p *Placement) bestServer(c, exclude int, lowOnly bool) int {
 	best := -1
 	for s := 0; s < p.topo.Servers; s++ {
 		if s == exclude || !p.topo.Feasible(c, s) {
 			continue
 		}
-		if lowOnly && p.ema[s] >= p.cfg.LowWater*p.meanEma {
+		if lowOnly && p.ema[s] >= lowWater*p.meanEma {
 			continue
 		}
 		if best < 0 || p.load[s] < p.load[best] {
@@ -151,7 +130,7 @@ func (p *Placement) bestServer(c, exclude int, lowOnly bool) int {
 // apply before the next epoch. Pressure is busy utilization plus miss rate;
 // the EMA halves the weight of history so two sustained hot epochs are
 // enough to act on, while a single spike is not. A server is hot when its
-// smoothed pressure exceeds HighWater × the fleet mean (over occupied
+// smoothed pressure exceeds highWater × the fleet mean (over occupied
 // servers) and the absolute pressureFloor.
 func (p *Placement) ObserveEpoch(pressure, epochDemand []float64) []Migration {
 	copy(p.demand, epochDemand)
@@ -174,7 +153,7 @@ func (p *Placement) ObserveEpoch(pressure, epochDemand []float64) []Migration {
 		p.meanEma /= float64(occupied)
 	}
 	for s := range p.ema {
-		if p.ema[s] > p.cfg.HighWater*p.meanEma && p.ema[s] > pressureFloor {
+		if p.ema[s] > highWater*p.meanEma && p.ema[s] > pressureFloor {
 			p.hot[s]++
 		} else {
 			p.hot[s] = 0
@@ -195,14 +174,14 @@ func (p *Placement) ObserveEpoch(pressure, epochDemand []float64) []Migration {
 	}
 	var out []Migration
 	for _, s := range order {
-		if p.hot[s] < p.cfg.SustainEpochs {
+		if p.hot[s] < sustainEpochs {
 			continue
 		}
 		// A hot server sheds cells until its demand load reaches the fleet
 		// mean (or it runs out of movable cells, destinations, or budget) —
 		// one move per epoch rebalances far too slowly to matter within a
 		// run's worth of epochs.
-		for len(out) < p.cfg.MaxMigrationsPerEpoch && p.load[s] > meanLoad {
+		for len(out) < maxMigrationsPerEpoch && p.load[s] > meanLoad {
 			cell := p.evictionCandidate(s)
 			if cell < 0 {
 				break
@@ -213,7 +192,7 @@ func (p *Placement) ObserveEpoch(pressure, epochDemand []float64) []Migration {
 			}
 			out = append(out, p.move(cell, s, to))
 		}
-		if len(out) >= p.cfg.MaxMigrationsPerEpoch {
+		if len(out) >= maxMigrationsPerEpoch {
 			break
 		}
 	}
@@ -273,7 +252,7 @@ func (p *Placement) move(cell, from, to int) Migration {
 	p.Assign[cell] = to
 	p.load[from] -= p.demand[cell]
 	p.load[to] += p.demand[cell]
-	p.cooldown[cell] = p.cfg.CooldownEpochs
+	p.cooldown[cell] = cooldownEpochs
 	p.hot[from] = 0
 	return Migration{Cell: cell, From: from, To: to}
 }

@@ -83,25 +83,6 @@ func TestLaneFailureFallsBackToCPU(t *testing.T) {
 	}
 }
 
-func TestZeroLaneAcceleratorFallsBackToCPU(t *testing.T) {
-	// Regression: an accelerator built as a struct literal with zero lanes
-	// used to panic (index out of range) on the first Submit; now Submit
-	// reports ErrNoLanes and the pool executes the task in software.
-	cfg := faultConfig(15, nil)
-	cfg.Accel = &accel.Accelerator{
-		Lanes:        0,
-		PerCodeblock: accel.DefaultFPGA().PerCodeblock,
-		SubmitCost:   accel.DefaultFPGA().SubmitCost,
-	}
-	r := run(t, cfg, 1*sim.Second)
-	if r.DAGsCompleted == 0 {
-		t.Fatal("no DAGs completed with a zero-lane accelerator")
-	}
-	if rel := r.Reliability(); rel < 0.5 {
-		t.Fatalf("reliability %.3f collapsed on CPU fallback", rel)
-	}
-}
-
 func TestOverrunInflatesTail(t *testing.T) {
 	base := run(t, faultConfig(16, nil), 2*sim.Second)
 	fc := &faults.Config{Overrun: 0.3, OverrunFactor: 8}

@@ -83,9 +83,9 @@ func TestOffloadBatchingCoalesces(t *testing.T) {
 		t.Fatalf("no batches coalesced: %d batches, %d followers",
 			r.OffloadBatches, r.BatchedTasks)
 	}
-	if want := sim.Time(r.BatchedTasks) * cfg.Accel.SubmitCost; r.SubmitSaved != want {
+	if want := sim.Time(r.BatchedTasks) * cfg.Accel.SubmitCost(); r.SubmitSaved != want {
 		t.Fatalf("SubmitSaved %v, want %v (%d followers x %v)",
-			r.SubmitSaved, want, r.BatchedTasks, cfg.Accel.SubmitCost)
+			r.SubmitSaved, want, r.BatchedTasks, cfg.Accel.SubmitCost())
 	}
 	// Per-task submission of the same scenario must not report batching.
 	solo := fleetConfig(25, nil)

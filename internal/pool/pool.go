@@ -401,10 +401,6 @@ type Pool struct {
 	// at least one positive rate, so fault-free runs pay one nil check.
 	flt *faults.Injector
 
-	// devDown mirrors the injected reset state per accelerator device; the
-	// reconciliation ticker detects transitions against it.
-	devDown []bool
-
 	// Offload-batching scratch, reused across submissions. batchTasks is
 	// cleared after every batch so it never retains freelist-owned tasks.
 	batchTasks []*task
@@ -544,7 +540,6 @@ func (p *Pool) Run(duration sim.Time) *Report {
 		// Reconciliation loop: poll the per-device reset windows and
 		// re-partition VF queue depths on membership transitions. 100 µs is
 		// fine-grained against the millisecond-scale reset windows.
-		p.devDown = make([]bool, p.cfg.Accel.DeviceCount())
 		sim.NewTicker(p.eng, 0, 100*sim.Microsecond, p.onReconcile)
 	}
 	p.eng.Run(duration)
@@ -797,7 +792,7 @@ func (p *Pool) predictTask(n *ran.Task) sim.Time {
 		// A device that cannot produce an estimate (invalid rate) must not
 		// predict "free" — fall through to the predictor/cost-model paths.
 		if exp, err := p.cfg.Accel.Expected(n.Kind, cbs); err == nil {
-			return p.cfg.Accel.SubmitCost + exp
+			return p.cfg.Accel.SubmitCost() + exp
 		}
 	}
 	if p.cfg.Predict != nil {
@@ -893,7 +888,7 @@ func (p *Pool) startTask(ci int, t *task, now sim.Time) {
 	c := &p.cores[ci]
 	c.state = coreBusyRAN
 	if p.cfg.Accel != nil && !t.noOffload && p.cfg.Accel.Offloads(t.node.Kind) {
-		dur := p.cfg.Accel.SubmitCost
+		dur := p.cfg.Accel.SubmitCost()
 		c.task = t
 		p.eng.AfterKind(dur, p.kOffloadSubmitted, int64(ci), 0)
 		return
@@ -955,7 +950,7 @@ func (p *Pool) onOffloadSubmitted(ci int) {
 	t := c.task
 	c.task = nil
 	run := t.dag
-	run.cpuTime += p.cfg.Accel.SubmitCost
+	run.cpuTime += p.cfg.Accel.SubmitCost()
 	if p.flt != nil && p.flt.LaneFails(run.seq, int64(t.node.ID), t.retries) {
 		// Injected lane failure: the device rejects the transfer outright.
 		p.offloadRejected(ci, t, now, errLaneFailure)
@@ -980,9 +975,9 @@ var errLaneFailure = errors.New("pool: injected lane failure")
 
 // offloadRejected recovers a task whose offload never reached the device —
 // an injected lane failure, or a submission the device rejected (wrong
-// kind, no lanes, invalid rate, VF queue backpressure, or the whole fleet in
-// reset) — by executing it in software on the submitting core (the core
-// keeps its run ref; execOnCore re-attaches the task).
+// kind, invalid rate, VF queue backpressure, or the whole fleet in reset) —
+// by executing it in software on the submitting core (the core keeps its run
+// ref; execOnCore re-attaches the task).
 func (p *Pool) offloadRejected(ci int, t *task, now sim.Time, err error) {
 	class, injected := faults.LaneFailure, false
 	switch err {
@@ -1101,7 +1096,7 @@ func (p *Pool) submitOffload(ci int, lead *task, now sim.Time) {
 	if accepted > 1 {
 		p.report.OffloadBatches++
 		p.report.BatchedTasks += uint64(accepted - 1)
-		saved := sim.Time(accepted-1) * p.cfg.Accel.SubmitCost
+		saved := sim.Time(accepted-1) * p.cfg.Accel.SubmitCost()
 		p.report.SubmitSaved += saved
 		if p.tel != nil {
 			totalCbs := 0
@@ -1127,13 +1122,11 @@ func (p *Pool) submitOffload(ci int, lead *task, now sim.Time) {
 func (p *Pool) onReconcile(now sim.Time) {
 	acc := p.cfg.Accel
 	changed := false
-	for d := range p.devDown {
+	for d := range acc.DeviceCount() {
 		down := p.flt.DeviceDown(d, now)
-		if down == p.devDown[d] {
+		if !acc.SetDeviceDown(d, down) {
 			continue
 		}
-		p.devDown[d] = down
-		acc.SetDeviceDown(d, down)
 		changed = true
 		if p.tel != nil {
 			state := int64(0)
@@ -1153,7 +1146,7 @@ func (p *Pool) onReconcile(now sim.Time) {
 			p.tel.trc.Emit(telemetry.Event{
 				At: now, Kind: telemetry.EvReconcile,
 				Core: -1, Cell: -1, Slot: -1, Task: -1,
-				A: int64(alive), B: int64(len(p.devDown)),
+				A: int64(alive), B: int64(acc.DeviceCount()),
 			})
 		}
 	}

@@ -114,41 +114,23 @@ type GradientBoosting struct {
 	Features  []ran.Feature
 	base      float64
 	stages    []*regTree
-	learnRate float64
 	residuals *residualTracker
 }
 
-// GBConfig bounds boosting.
-type GBConfig struct {
-	Rounds    int     // default 30
-	Depth     int     // default 3
-	MinLeaf   int     // default 20
-	LearnRate float64 // default 0.3
-	Interval  float64 // default 0.99999
-}
-
-func (c *GBConfig) defaults() {
-	if c.Rounds <= 0 {
-		c.Rounds = 30
-	}
-	if c.Depth <= 0 {
-		c.Depth = 3
-	}
-	if c.MinLeaf <= 0 {
-		c.MinLeaf = 20
-	}
-	if c.LearnRate <= 0 {
-		c.LearnRate = 0.3
-	}
-	if c.Interval <= 0 {
-		c.Interval = 0.99999
-	}
-}
+// Boosting's bounds: at most gbRounds stages of depth-gbDepth trees with at
+// least gbMinLeaf samples per leaf, each stage scaled by gbLearnRate, and
+// the WCET interval at the gbInterval residual quantile.
+const (
+	gbRounds    = 30
+	gbDepth     = 3
+	gbMinLeaf   = 20
+	gbLearnRate = 0.3
+	gbInterval  = 0.99999
+)
 
 // TrainGradientBoosting fits the boosted mean model plus residual interval.
-func TrainGradientBoosting(features []ran.Feature, data []Sample, cfg GBConfig) (*GradientBoosting, error) {
-	cfg.defaults()
-	if len(data) < 2*cfg.MinLeaf {
+func TrainGradientBoosting(features []ran.Feature, data []Sample) (*GradientBoosting, error) {
+	if len(data) < 2*gbMinLeaf {
 		return nil, ErrNoData
 	}
 	X := make([][]float64, len(data))
@@ -160,25 +142,24 @@ func TrainGradientBoosting(features []ran.Feature, data []Sample, cfg GBConfig) 
 	g := &GradientBoosting{
 		Features:  features,
 		base:      stats.Mean(y),
-		learnRate: cfg.LearnRate,
-		residuals: newResidualTracker(cfg.Interval),
+		residuals: newResidualTracker(gbInterval),
 	}
 	resid := make([]float64, len(y))
 	pred := make([]float64, len(y))
 	for i := range y {
 		pred[i] = g.base
 	}
-	for round := 0; round < cfg.Rounds; round++ {
+	for round := 0; round < gbRounds; round++ {
 		for i := range y {
 			resid[i] = y[i] - pred[i]
 		}
-		tree := growRegTree(X, resid, cfg.Depth, cfg.MinLeaf)
+		tree := growRegTree(X, resid, gbDepth, gbMinLeaf)
 		if tree == nil {
 			break
 		}
 		g.stages = append(g.stages, tree)
 		for i := range y {
-			pred[i] += cfg.LearnRate * tree.predict(X[i])
+			pred[i] += gbLearnRate * tree.predict(X[i])
 		}
 	}
 	for i := range y {
@@ -191,7 +172,7 @@ func TrainGradientBoosting(features []ran.Feature, data []Sample, cfg GBConfig) 
 func (g *GradientBoosting) mean(x []float64) float64 {
 	v := g.base
 	for _, s := range g.stages {
-		v += g.learnRate * s.predict(x)
+		v += gbLearnRate * s.predict(x)
 	}
 	return v
 }

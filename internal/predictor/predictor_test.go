@@ -353,7 +353,7 @@ func TestGradientBoostingBeatsLinear(t *testing.T) {
 	data := profileDecode(8000, 15, env)
 	feats := []ran.Feature{ran.FCodeblocks, ran.FSNRdB}
 	lin, _ := TrainLinear(feats, data, 0.99999)
-	gb, err := TrainGradientBoosting(feats, data, GBConfig{})
+	gb, err := TrainGradientBoosting(feats, data)
 	if err != nil {
 		t.Fatal(err)
 	}

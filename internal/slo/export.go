@@ -209,7 +209,7 @@ func (t *Tracker) CellSummaries() []CellSummary {
 		if ks.totAttempts > 0 {
 			c.MissRate = float64(ks.totMisses) / float64(ks.totAttempts)
 			c.P999Us = ks.totLat.QuantileUs(0.999)
-			c.WorstSlack = sim.Time(ks.totSlack.Min())
+			c.WorstSlack = t.opts.Deadline - sim.Time(ks.totLat.Max())
 		}
 		if ks.totTasks > 0 {
 			c.TaskP99Us = ks.totTask.QuantileUs(0.99)
@@ -347,7 +347,9 @@ func fmtDur(d sim.Time) string { return fmtG(d.Us()) + "us" }
 // Callers must invoke it serially in a fixed (epoch, server) order — the
 // sketches make the fold associative, the serial order makes it
 // byte-identical at any worker count. cells maps the source tracker's
-// local cell indices to global IDs; nil keeps cell IDs as-is.
+// local cell indices to global IDs; nil keeps cell IDs as-is. Merged
+// trackers share one deadline: the summaries derive slack from this
+// tracker's deadline and the merged latency totals.
 func (t *Tracker) MergeRemapped(src *Tracker, cells []int32, server int32, offset sim.Time) {
 	if t == nil || src == nil {
 		return
@@ -361,7 +363,6 @@ func (t *Tracker) MergeRemapped(src *Tracker, cells []int32, server int32, offse
 	for _, sk := range src.keys {
 		dk := t.key(Key{Cell: mapCell(sk.key.Cell), Server: server, Slice: sk.key.Slice})
 		dk.totLat.Merge(sk.totLat)
-		dk.totSlack.Merge(sk.totSlack)
 		dk.totTask.Merge(sk.totTask)
 		dk.totAttempts += sk.totAttempts
 		dk.totMisses += sk.totMisses

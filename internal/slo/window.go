@@ -41,9 +41,9 @@ type keyState struct {
 	attempts uint64
 	misses   uint64
 
-	// Run totals (survive rotation; merged at the fleet barrier).
+	// Run totals (survive rotation; merged at the fleet barrier). The worst
+	// slack is Deadline − totLat.Max().
 	totLat      *Sketch
-	totSlack    *Sketch
 	totTask     *Sketch // per-task runtime
 	totAttempts uint64
 	totMisses   uint64
@@ -68,7 +68,6 @@ type sliceState struct {
 
 	// Current tumbling window, slice-wide.
 	lat      *Sketch
-	slack    *Sketch
 	attempts uint64
 	misses   uint64
 
@@ -144,7 +143,6 @@ func New(opts Options, trc *telemetry.Tracer) *Tracker {
 		t.slices = append(t.slices, &sliceState{
 			obj:    obj,
 			lat:    NewSketch(),
-			slack:  NewSketch(),
 			totLat: NewSketch(),
 		})
 	}
@@ -175,12 +173,11 @@ func (t *Tracker) key(k Key) *keyState {
 		return ks
 	}
 	ks := &keyState{
-		key:      k,
-		lat:      NewSketch(),
-		slack:    NewSketch(),
-		totLat:   NewSketch(),
-		totSlack: NewSketch(),
-		totTask:  NewSketch(),
+		key:     k,
+		lat:     NewSketch(),
+		slack:   NewSketch(),
+		totLat:  NewSketch(),
+		totTask: NewSketch(),
 	}
 	t.index[k] = ks
 	i := sort.Search(len(t.keys), func(i int) bool { return !keyLess(t.keys[i].key, k) })
@@ -239,12 +236,10 @@ func (t *Tracker) RecordDAG(now sim.Time, cell int32, latency sim.Time, missed b
 	ks.lat.Record(lat)
 	ks.slack.Record(slack)
 	ks.totLat.Record(lat)
-	ks.totSlack.Record(slack)
 	ks.attempts++
 	ks.totAttempts++
 	ss := t.slices[ks.key.Slice]
 	ss.lat.Record(lat)
-	ss.slack.Record(slack)
 	ss.totLat.Record(lat)
 	ss.attempts++
 	ss.totAttempts++
@@ -348,7 +343,6 @@ func (t *Tracker) rotate(b sim.Time) {
 		}
 		ss.attempts, ss.misses = 0, 0
 		ss.lat.Reset()
-		ss.slack.Reset()
 	}
 	// Key rows for cells active in this window, in sorted key order.
 	for _, ks := range t.keys {

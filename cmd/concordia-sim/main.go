@@ -37,9 +37,9 @@ func main() {
 	seed := flag.Uint64("seed", 42, "deterministic seed")
 	useAccel := flag.Bool("accel", false, "offload LDPC to the modeled FPGA")
 	accelDevices := flag.Int("accel-devices", 0, "accelerator cards in the fleet (0/1 = single default FPGA; needs -accel)")
-	accelVFs := flag.Int("accel-vfs", 0, "SR-IOV virtual functions per accelerator card (0 = one)")
-	accelQueue := flag.Int("accel-queue", 0, "per-VF per-queue-group admission depth (0 = unbounded)")
-	offloadBatch := flag.Int("offload-batch", 0, "coalesce up to N same-kind offloads per DMA transfer (0/1 = per-task)")
+	accelVFs := flag.Int("accel-vfs", 0, "SR-IOV virtual functions per accelerator card (0 = one; needs -accel)")
+	accelQueue := flag.Int("accel-queue", 0, "per-VF per-queue-group admission depth (0 = unbounded; needs -accel)")
+	offloadBatch := flag.Int("offload-batch", 0, "coalesce up to N same-kind offloads per DMA transfer (0/1 = per-task; needs -accel)")
 	includeMAC := flag.Bool("mac", false, "multiplex the MAC-layer extension DAGs (§7)")
 	replayPath := flag.String("replay", "", "CSV traffic trace (tracegen format) to replay for both directions")
 	traceScale := flag.Float64("trace-scale", 1, "volume multiplier for replayed traffic traces")

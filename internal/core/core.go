@@ -56,15 +56,15 @@ type Config struct {
 	// AccelDevices > 1 replaces the single default FPGA with a fleet of
 	// ACC100-like cards, each with two engines; AccelVFs partitions each card
 	// into SR-IOV virtual functions and AccelQueueDepth bounds each VF's
-	// per-queue-group admission (0 = unbounded). Ignored unless UseAccel;
-	// NewSystem refuses a negative value.
+	// per-queue-group admission (0 = unbounded). NewSystem refuses a
+	// negative value, and a non-zero one without UseAccel.
 	AccelDevices    int
 	AccelVFs        int
 	AccelQueueDepth int
 	// OffloadBatch > 1 lets a submitting core coalesce up to that many
 	// same-kind ready offloadable tasks into one DMA transfer, amortizing
 	// the submit cost (the accelsweep experiment sweeps this knob). NewSystem
-	// refuses a negative value.
+	// refuses a negative value, and a non-zero one without UseAccel.
 	OffloadBatch int
 	// IncludeMAC multiplexes the §7 MAC-layer scheduling extension on the
 	// same pool (one MAC DAG per cell per slot, one-slot deadline).
@@ -339,6 +339,9 @@ func NewSystem(cfg Config) (*System, error) {
 	} {
 		if f.v < 0 {
 			return nil, fmt.Errorf("core: negative %s %d", f.name, f.v)
+		}
+		if f.v != 0 && !cfg.UseAccel {
+			return nil, fmt.Errorf("core: %s %d without UseAccel", f.name, f.v)
 		}
 	}
 	sched, err := cfg.buildScheduler()

@@ -116,6 +116,10 @@ func TestNewSystemValidatesBeforeTraining(t *testing.T) {
 		{"negative VFs", "core: negative AccelVFs -1", func(c *Config) { c.UseAccel, c.AccelVFs = true, -1 }},
 		{"negative queue depth", "core: negative AccelQueueDepth -5", func(c *Config) { c.UseAccel, c.AccelQueueDepth = true, -5 }},
 		{"negative batch", "core: negative OffloadBatch -7", func(c *Config) { c.UseAccel, c.OffloadBatch = true, -7 }},
+		{"devices without accel", "core: AccelDevices 3 without UseAccel", func(c *Config) { c.AccelDevices = 3 }},
+		{"VFs without accel", "core: AccelVFs 2 without UseAccel", func(c *Config) { c.AccelVFs = 2 }},
+		{"queue depth without accel", "core: AccelQueueDepth 4 without UseAccel", func(c *Config) { c.AccelQueueDepth = 4 }},
+		{"batch without accel", "core: OffloadBatch 8 without UseAccel", func(c *Config) { c.OffloadBatch = 8 }},
 	} {
 		cfg := Scenario20MHz(1, 2)
 		cfg.TrainingSlots = -1

@@ -120,16 +120,12 @@ func evalModel(p predictor.Predictor, eval []predictor.Sample) ModelAccuracy {
 	return acc
 }
 
-// RunFig14Models evaluates the three prediction models for the given task
-// kind across the six Fig 14 scenarios, and the full-DAG reliability of the
-// complete Concordia system for the same collocations.
-func RunFig14Models(o Options, kind ran.TaskKind) (*Fig14Result, error) {
-	res := &Fig14Result{Kind: kind}
+// modelAccuracy trains the linear, boosting and quantile-tree predictors
+// for kind on n samples per Fig 14 scenario and scores each on n/2 fresh
+// samples. Scenario i trains from seed o.Seed+i*stride+first and evaluates
+// from the next seed.
+func modelAccuracy(o Options, kind ran.TaskKind, n int, stride, first uint64) ([]ModelAccuracy, error) {
 	model := costmodel.New(o.Seed)
-	n := int(40000 * o.Scale)
-	if n < 4000 {
-		n = 4000
-	}
 	feats := predictor.HandPicked[kind]
 	if len(feats) == 0 {
 		feats = []ran.Feature{ran.FTBSBits}
@@ -143,8 +139,9 @@ func RunFig14Models(o Options, kind ran.TaskKind) (*Fig14Result, error) {
 		// phase); evaluation runs in the scenario's environment with online
 		// adaptation enabled.
 		isoEnv := costmodel.Env{PoolCores: sc.env.PoolCores}
-		train := genKindSamples(kind, n, sc.cells, isoEnv, model, o.Seed+uint64(i)*17+1)
-		eval := genKindSamples(kind, n/2, sc.cells, sc.env, model, o.Seed+uint64(i)*17+2)
+		seed := o.Seed + uint64(i)*stride + first
+		train := genKindSamples(kind, n, sc.cells, isoEnv, model, seed)
+		eval := genKindSamples(kind, n/2, sc.cells, sc.env, model, seed+1)
 
 		lin, err := predictor.TrainLinear(feats, train, 0.99999)
 		if err != nil {
@@ -173,9 +170,22 @@ func RunFig14Models(o Options, kind ran.TaskKind) (*Fig14Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, rows := range rowGroups {
-		res.Rows = append(res.Rows, rows...)
+	var rows []ModelAccuracy
+	for _, g := range rowGroups {
+		rows = append(rows, g...)
 	}
+	return rows, nil
+}
+
+// RunFig14Models evaluates the three prediction models for the given task
+// kind across the six Fig 14 scenarios, and the full-DAG reliability of the
+// complete Concordia system for the same collocations.
+func RunFig14Models(o Options, kind ran.TaskKind) (*Fig14Result, error) {
+	rows, err := modelAccuracy(o, kind, max(int(40000*o.Scale), 4000), 17, 1)
+	if err != nil {
+		return nil, err
+	}
+	res := &Fig14Result{Kind: kind, Rows: rows}
 	// Full-DAG reliability: the complete system with 20 µs compensation.
 	dur := o.dur(60 * sim.Second)
 	wls := []workloads.Kind{workloads.None, workloads.Redis, workloads.TPCC}
@@ -235,61 +245,12 @@ var Fig17Kinds = []ran.TaskKind{
 // (without the full-DAG repeats).
 func RunFig17PerTask(o Options) (*Fig17Result, error) {
 	res := &Fig17Result{}
-	oo := o
 	for _, kind := range Fig17Kinds {
-		r, err := runFig14ModelsOnly(oo, kind)
+		rows, err := modelAccuracy(o, kind, max(int(20000*o.Scale), 3000), 31, 5)
 		if err != nil {
 			return nil, err
 		}
-		res.PerKind = append(res.PerKind, r)
-	}
-	return res, nil
-}
-
-// runFig14ModelsOnly is RunFig14Models without the system runs.
-func runFig14ModelsOnly(o Options, kind ran.TaskKind) (*Fig14Result, error) {
-	res := &Fig14Result{Kind: kind}
-	model := costmodel.New(o.Seed)
-	n := int(20000 * o.Scale)
-	if n < 3000 {
-		n = 3000
-	}
-	feats := predictor.HandPicked[kind]
-	scenarios := fig14Scenarios()
-	rowGroups, err := parallel.Map(o.workers(), len(scenarios), func(i int) ([]ModelAccuracy, error) {
-		sc := scenarios[i]
-		isoEnv := costmodel.Env{PoolCores: sc.env.PoolCores}
-		train := genKindSamples(kind, n, sc.cells, isoEnv, model, o.Seed+uint64(i)*31+5)
-		eval := genKindSamples(kind, n/2, sc.cells, sc.env, model, o.Seed+uint64(i)*31+6)
-		lin, err := predictor.TrainLinear(feats, train, 0.99999)
-		if err != nil {
-			return nil, err
-		}
-		gb, err := predictor.TrainGradientBoosting(feats, train)
-		if err != nil {
-			return nil, err
-		}
-		qdt, err := predictor.TrainQuantileTree(kind, feats, train, predictor.TreeConfig{})
-		if err != nil {
-			return nil, err
-		}
-		var rows []ModelAccuracy
-		for _, m := range []struct {
-			name string
-			p    predictor.Predictor
-		}{{"linear", lin}, {"boosting", gb}, {"quantile-dt", qdt}} {
-			acc := evalModel(m.p, eval)
-			acc.Model = m.name
-			acc.Scenario = sc.name
-			rows = append(rows, acc)
-		}
-		return rows, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, rows := range rowGroups {
-		res.Rows = append(res.Rows, rows...)
+		res.PerKind = append(res.PerKind, &Fig14Result{Kind: kind, Rows: rows})
 	}
 	return res, nil
 }

@@ -362,13 +362,7 @@ func Run(cfg Config) (*Result, error) {
 					cfg.Telemetry.Trace.Emit(ev)
 				}
 			}
-			if res.SLO != nil && run.slo != nil {
-				globals := make([]int32, len(cellsOf[s]))
-				for i, c := range cellsOf[s] {
-					globals[i] = int32(c)
-				}
-				res.SLO.MergeRemapped(run.slo, globals, int32(s), epochStart)
-			}
+			res.SLO.MergeRemapped(run.slo, epochStart)
 		}
 
 		// The partitioned baseline never consults the placement engine after
@@ -432,16 +426,11 @@ func runServerEpoch(cfg Config, preds pool.PredictorSet, arena *pool.Arena, s, e
 	if cfg.SLO != nil {
 		opts := *cfg.SLO
 		opts.Server = int32(s)
-		// Slice membership is a property of the fleet-global cell, not of
-		// wherever it happens to be placed this epoch: evaluate the caller's
-		// slice map (or the even/odd default) on the global ID.
-		base := cfg.SLO.SliceOf
-		opts.SliceOf = func(local int32) int32 {
-			g := int32(cells[local])
-			if base != nil {
-				return base(g)
-			}
-			return g % 2
+		// A stream belongs to the fleet-global cell, not to wherever it
+		// happens to be placed this epoch.
+		opts.Cells = make([]int32, len(cells))
+		for i, c := range cells {
+			opts.Cells[i] = int32(c)
 		}
 		cc.SLO = &opts
 	}

@@ -18,7 +18,7 @@ import (
 // TestNilTelemetryZeroAlloc asserts the disabled-path emission helpers
 // allocate nothing.
 func TestNilTelemetryZeroAlloc(t *testing.T) {
-	p := &Pool{} // tel == nil: the disabled path
+	p := &Pool{} // trc == nil: the disabled path
 	if n := testing.AllocsPerRun(100, func() {
 		p.faultTrace(0, faults.LaneFailure, 0, 0, 0, 1, 0)
 		p.recoverTrace(0, faults.LaneFailure, recoverCPUFallback, 0, 0, 0)

@@ -393,9 +393,15 @@ type Pool struct {
 	churnEWMA      float64
 	eventsLastSlot uint64
 
-	// tel carries the pre-resolved telemetry handles; nil when disabled.
-	tel    *telemetryHooks
-	dagSeq int64
+	// trc is cfg.Telemetry's tracer; nil when telemetry is off.
+	trc *telemetry.Tracer
+	// lastTarget dedups scheduler-decision events: the 20 µs tick emits only
+	// when the core target changes, not 50 000 times per second.
+	lastTarget int
+	// pendingPeak is the engine event-queue high-water mark since the last
+	// metrics sample.
+	pendingPeak int
+	dagSeq      int64
 
 	// flt is the deterministic fault injector; nil unless Config.Faults has
 	// at least one positive rate, so fault-free runs pay one nil check.
@@ -494,10 +500,10 @@ func New(cfg Config) (*Pool, error) {
 		p.report.FaultsEnabled = p.flt != nil
 	}
 	if cfg.Telemetry != nil {
-		p.tel = newTelemetryHooks(cfg.Telemetry, p.flt != nil)
-		p.tel.attach(p)
+		p.trc, p.lastTarget = cfg.Telemetry.Trace, -1
+		p.attach()
 	}
-	if p.tel != nil || PoolcheckEnabled {
+	if p.trc != nil || PoolcheckEnabled {
 		p.eng.SetProbe(p.onEvent)
 	}
 	return p, nil
@@ -505,15 +511,12 @@ func New(cfg Config) (*Pool, error) {
 
 // onEvent is the engine probe, run before each event is dispatched, so it
 // sees the state the previous event left: under poolcheck it checks that no
-// RAN core idles beside queued work, and with telemetry it counts the event
-// and tracks the pending-queue peak.
+// RAN core idles beside queued work, and it tracks the pending-queue peak
+// for the metrics sample.
 func (p *Pool) onEvent(_ sim.Time, pending int) {
 	p.checkWorkConserving()
-	if t := p.tel; t != nil {
-		t.cSimEvents.Inc()
-		if pending > t.pendingPeak {
-			t.pendingPeak = pending
-		}
+	if pending > p.pendingPeak {
+		p.pendingPeak = pending
 	}
 }
 
@@ -531,7 +534,7 @@ func (p *Pool) Run(duration sim.Time) *Report {
 	// Phase-shift rotation off the slot grid so it observes the pool
 	// mid-slot rather than at the idle instant between TTIs.
 	sim.NewTicker(p.eng, rotatePeriod+rotatePeriod/7, rotatePeriod, p.onRotate)
-	if p.tel != nil {
+	if p.trc != nil {
 		// Metrics sampling, once per slot: registered after the slot ticker
 		// so a sample at instant t observes the slot released at t.
 		sim.NewTicker(p.eng, 0, slotDur, p.onSample)
@@ -769,9 +772,8 @@ func (p *Pool) releaseDAG(d *ran.DAG) {
 	p.dags = append(p.dags, run)
 	p.report.DAGsReleased++
 	now := p.eng.Now()
-	if p.tel != nil {
-		p.tel.cDAGsReleased.Inc()
-		p.tel.trc.Emit(telemetry.Event{
+	if p.trc != nil {
+		p.trc.Emit(telemetry.Event{
 			At: now, Kind: telemetry.EvDAGRelease,
 			Core: -1, Cell: int32(d.CellID), Slot: int32(d.Slot), Task: -1,
 			A: run.seq, B: int64(d.Dir),
@@ -831,8 +833,8 @@ func (p *Pool) pushReady(t *task, now sim.Time) {
 	p.pc.checkLive(t.dag)
 	t.readyAt = now
 	p.queues[p.queueIndex(t.node.CellID)].push(t)
-	if p.tel != nil {
-		p.tel.trc.Emit(telemetry.Event{
+	if p.trc != nil {
+		p.trc.Emit(telemetry.Event{
 			At: now, Kind: telemetry.EvTaskEnqueue,
 			Core: -1, Cell: int32(t.node.CellID), Slot: int32(t.dag.dag.Slot),
 			Task: int32(t.node.Kind), A: t.dag.seq, B: int64(t.node.ID),
@@ -905,10 +907,10 @@ func (p *Pool) dispatchTask(t *task, ci int, now sim.Time) {
 	t.running = true
 	t.started = now
 	p.report.TasksExecuted++
-	if p.tel != nil {
+	if p.trc != nil {
 		delay := now - t.readyAt
 		p.report.observeQueueDelay(t.node.CellID, delay)
-		p.tel.trc.Emit(telemetry.Event{
+		p.trc.Emit(telemetry.Event{
 			At: now, Kind: telemetry.EvTaskDispatch,
 			Core: int32(ci), Cell: int32(t.node.CellID), Slot: int32(t.dag.dag.Slot),
 			Task: int32(t.node.Kind), Dur: delay, A: t.dag.seq, B: int64(t.node.ID),
@@ -1098,12 +1100,12 @@ func (p *Pool) submitOffload(ci int, lead *task, now sim.Time) {
 		p.report.BatchedTasks += uint64(accepted - 1)
 		saved := sim.Time(accepted-1) * p.cfg.Accel.SubmitCost()
 		p.report.SubmitSaved += saved
-		if p.tel != nil {
+		if p.trc != nil {
 			totalCbs := 0
 			for _, cbs := range p.batchCbs[:accepted] {
 				totalCbs += cbs
 			}
-			p.tel.trc.Emit(telemetry.Event{
+			p.trc.Emit(telemetry.Event{
 				At: now, Kind: telemetry.EvBatchSubmit,
 				Core: int32(ci), Cell: int32(lead.node.CellID), Slot: int32(lead.dag.dag.Slot),
 				Task: int32(kind), Dur: saved, A: int64(accepted), B: int64(totalCbs),
@@ -1128,12 +1130,12 @@ func (p *Pool) onReconcile(now sim.Time) {
 			continue
 		}
 		changed = true
-		if p.tel != nil {
+		if p.trc != nil {
 			state := int64(0)
 			if down {
 				state = 1
 			}
-			p.tel.trc.Emit(telemetry.Event{
+			p.trc.Emit(telemetry.Event{
 				At: now, Kind: telemetry.EvDeviceReset,
 				Core: -1, Cell: -1, Slot: -1, Task: -1,
 				A: int64(d), B: state,
@@ -1142,8 +1144,8 @@ func (p *Pool) onReconcile(now sim.Time) {
 	}
 	if changed {
 		alive := acc.Reconcile()
-		if p.tel != nil {
-			p.tel.trc.Emit(telemetry.Event{
+		if p.trc != nil {
+			p.trc.Emit(telemetry.Event{
 				At: now, Kind: telemetry.EvReconcile,
 				Core: -1, Cell: -1, Slot: -1, Task: -1,
 				A: int64(alive), B: int64(acc.DeviceCount()),
@@ -1243,14 +1245,13 @@ func (p *Pool) completeTask(t *task, ci int, now sim.Time) (keep *task) {
 	}
 	p.cfg.SLO.RecordTask(now, int32(t.node.CellID), elapsed)
 	p.report.observeTask(t.node.Kind, elapsed)
-	if p.tel != nil {
-		p.tel.cTasks.Inc()
-		p.tel.trc.Emit(telemetry.Event{
+	if p.trc != nil {
+		p.trc.Emit(telemetry.Event{
 			At: now, Kind: telemetry.EvTaskComplete,
 			Core: int32(ci), Cell: int32(t.node.CellID), Slot: int32(run.dag.Slot),
 			Task: int32(t.node.Kind), Dur: elapsed, A: run.seq, B: int64(t.node.ID),
 		})
-		p.tel.predictSample(now, t, elapsed)
+		p.predictSample(now, t, elapsed)
 	}
 	if run.dropped {
 		p.maybeRecycle(run)
@@ -1394,23 +1395,19 @@ func (p *Pool) retireDAG(run *dagRun, now sim.Time, dropped bool) {
 	p.cfg.SLO.RecordDAG(now, int32(d.CellID), latency, missed)
 	p.report.observeDAG(d.Dir, latency, missed)
 	p.report.observeCellDAG(d.CellID, missed, dropped)
-	if p.tel != nil {
+	if p.trc != nil {
 		ev := telemetry.Event{
 			At: now, Kind: telemetry.EvDAGComplete,
 			Core: -1, Cell: int32(d.CellID), Slot: int32(d.Slot), Task: -1,
 			Dur: latency, A: run.seq, B: int64(d.Dir),
 		}
 		if dropped {
-			p.tel.cDrops.Inc()
 			ev.Kind = telemetry.EvDAGDrop
-		} else {
-			p.tel.cDAGsDone.Inc()
 		}
-		p.tel.trc.Emit(ev)
+		p.trc.Emit(ev)
 		if missed {
-			p.tel.cMisses.Inc()
 			ev.Kind = telemetry.EvDeadlineMiss
-			p.tel.trc.Emit(ev)
+			p.trc.Emit(ev)
 		}
 	}
 	run.retired = true
@@ -1482,13 +1479,13 @@ func (p *Pool) onSchedulerTick(now sim.Time) {
 		p.dropExpired(now)
 	}
 	target := p.cfg.Scheduler.Cores(p.schedulerState(now))
-	if p.tel != nil && target != p.tel.lastTarget {
-		p.tel.trc.Emit(telemetry.Event{
+	if p.trc != nil && target != p.lastTarget {
+		p.trc.Emit(telemetry.Event{
 			At: now, Kind: telemetry.EvSchedDecision,
 			Core: int32(p.ranCores), Cell: -1, Slot: -1, Task: -1,
-			A: int64(p.tel.lastTarget), B: int64(target),
+			A: int64(p.lastTarget), B: int64(target),
 		})
-		p.tel.lastTarget = target
+		p.lastTarget = target
 	}
 	p.applyTarget(target, now)
 }
@@ -1630,13 +1627,12 @@ func (p *Pool) acquireCore(ci int, now sim.Time) {
 		Retention:    retention,
 	})
 	p.report.observeWakeup(lat)
-	if p.tel != nil {
-		p.tel.cAcquires.Inc()
+	if p.trc != nil {
 		active := 0
 		if p.cfg.Workload != nil {
 			active = len(p.cfg.Workload.ActiveAt(now))
 		}
-		p.tel.trc.Emit(telemetry.Event{
+		p.trc.Emit(telemetry.Event{
 			At: now, Kind: telemetry.EvCoreAcquire,
 			Core: int32(ci), Cell: -1, Slot: -1, Task: -1,
 			A: int64(p.ranCores), B: int64(active),
@@ -1666,8 +1662,8 @@ func (p *Pool) onCoreAwake(ci int) {
 	c.wakeEv = sim.EventHandle{}
 	c.state = coreIdleRAN
 	c.idleSince = p.eng.Now()
-	if p.tel != nil {
-		p.tel.trc.Emit(telemetry.Event{
+	if p.trc != nil {
+		p.trc.Emit(telemetry.Event{
 			At: p.eng.Now(), Kind: telemetry.EvCoreAwake,
 			Core: int32(ci), Cell: -1, Slot: -1, Task: -1, Dur: p.eng.Now() - c.wakeStart,
 		})
@@ -1686,9 +1682,8 @@ func (p *Pool) yieldCore(ci int, now sim.Time) {
 	c.state = coreBestEffort
 	p.ranCores--
 	p.report.SchedulingEvents++
-	if p.tel != nil {
-		p.tel.cYields.Inc()
-		p.tel.trc.Emit(telemetry.Event{
+	if p.trc != nil {
+		p.trc.Emit(telemetry.Event{
 			At: now, Kind: telemetry.EvCoreYield,
 			Core: int32(ci), Cell: -1, Slot: -1, Task: -1,
 			A: int64(p.ranCores),
@@ -1747,9 +1742,8 @@ func (p *Pool) onRotate(now sim.Time) {
 // acquired) in the report and the telemetry stream.
 func (p *Pool) noteRotation(from, to int, now sim.Time) {
 	p.report.Rotations++
-	if p.tel != nil {
-		p.tel.cRotations.Inc()
-		p.tel.trc.Emit(telemetry.Event{
+	if p.trc != nil {
+		p.trc.Emit(telemetry.Event{
 			At: now, Kind: telemetry.EvCoreRotate,
 			Core: int32(from), Cell: -1, Slot: -1, Task: -1,
 			A: int64(to),

@@ -438,27 +438,33 @@ func BenchmarkPoolRun(b *testing.B) {
 	}
 }
 
-// TestTelemetryMatchesReport cross-checks the telemetry counters, the SLO
-// plane, the autopsy of the event trace and the report over the golden
-// scenarios: all four observe the same simulation, so they must agree
-// exactly, and every released DAG must be accounted for exactly once.
+// TestTelemetryMatchesReport cross-checks the trace's per-kind event counts
+// (which the metrics counters are read from), the SLO plane, the autopsy of
+// the event trace and the report over the golden scenarios: all four observe
+// the same simulation, so they must agree exactly, and every released DAG
+// must be accounted for exactly once.
 func TestTelemetryMatchesReport(t *testing.T) {
 	for _, sc := range goldenScenarios(t) {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
 			g := runGolden(t, sc)
-			rep, m := g.rep, g.rec.Metrics
-			if got, want := m.Counter("dags_released").Value(), rep.DAGsReleased; got != want {
-				t.Errorf("dags_released counter %d, report %d", got, want)
-			}
-			if got, want := m.Counter("dags_completed").Value()+m.Counter("dags_dropped").Value(), rep.DAGsCompleted; got != want {
-				t.Errorf("dags_completed + dags_dropped counters %d, report completed %d", got, want)
-			}
-			if got, want := m.Counter("deadline_misses").Value(), rep.Misses; got != want {
-				t.Errorf("deadline_misses counter %d, report %d", got, want)
-			}
-			if got, want := m.Counter("rotations").Value(), rep.Rotations; got != want {
-				t.Errorf("rotations counter %d, report %d", got, want)
+			rep, m, trc := g.rep, g.rec.Metrics, g.rec.Trace
+			for _, c := range []struct {
+				kind telemetry.EventKind
+				want uint64
+				of   string
+			}{
+				{telemetry.EvDAGRelease, rep.DAGsReleased, "DAGsReleased"},
+				{telemetry.EvDAGComplete, rep.DAGsCompleted - rep.DAGsDropped, "DAGsCompleted - DAGsDropped"},
+				{telemetry.EvDAGDrop, rep.DAGsDropped, "DAGsDropped"},
+				{telemetry.EvDeadlineMiss, rep.Misses, "Misses"},
+				{telemetry.EvCoreAcquire, rep.Preemptions, "Preemptions"},
+				{telemetry.EvCoreYield, rep.SchedulingEvents - rep.Preemptions, "SchedulingEvents - Preemptions"},
+				{telemetry.EvCoreRotate, rep.Rotations, "Rotations"},
+			} {
+				if got := trc.Emitted(c.kind); got != c.want {
+					t.Errorf("%v events %d, report %s %d", c.kind, got, c.of, c.want)
+				}
 			}
 			if inflight := uint64(len(g.pool.dags)); rep.DAGsReleased != rep.DAGsCompleted+inflight {
 				t.Errorf("released %d != completed %d + in flight %d", rep.DAGsReleased, rep.DAGsCompleted, inflight)

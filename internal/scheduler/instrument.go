@@ -3,9 +3,9 @@ package scheduler
 import "concordia/internal/sim"
 
 // Instrumented wraps a policy so every Cores call is reported to Observe
-// before the decision is returned. The wrapper is transparent: Name,
-// Interval and CompensatesWakeups forward to the inner policy, so the pool
-// treats an instrumented scheduler exactly like the bare one.
+// before the decision is returned. The wrapper is transparent: Interval and
+// CompensatesWakeups forward to the inner policy, so the pool treats an
+// instrumented scheduler exactly like the bare one.
 type Instrumented struct {
 	Inner Scheduler
 	// Observe receives whether the decision was a Concordia critical-stage
@@ -13,9 +13,6 @@ type Instrumented struct {
 	// critical stage).
 	Observe func(critical bool)
 }
-
-// Name implements Scheduler.
-func (i Instrumented) Name() string { return i.Inner.Name() }
 
 // Interval implements Scheduler.
 func (i Instrumented) Interval() sim.Time { return i.Inner.Interval() }

@@ -49,8 +49,6 @@ type PoolState struct {
 
 // Scheduler decides the vRAN pool's core allocation.
 type Scheduler interface {
-	// Name identifies the policy in reports.
-	Name() string
 	// Cores returns how many cores the vRAN should hold given the state.
 	Cores(s PoolState) int
 	// Interval is the re-evaluation period the policy is designed for.
@@ -106,9 +104,6 @@ const (
 
 // NewConcordia returns the scheduler with the paper's parameters.
 func NewConcordia() *Concordia { return &Concordia{} }
-
-// Name implements Scheduler.
-func (c *Concordia) Name() string { return "concordia" }
 
 // Interval implements Scheduler.
 func (c *Concordia) Interval() sim.Time { return concordiaPeriod }
@@ -197,9 +192,6 @@ func (c *Concordia) Critical(s PoolState) bool {
 // queues drain. It has no notion of deadlines or predicted work.
 type FlexRAN struct{}
 
-// Name implements Scheduler.
-func (FlexRAN) Name() string { return "flexran" }
-
 // Interval implements Scheduler: the queue model reacts at a fine grain
 // (every queue transition); the pool drives it at the same 20 µs tick for
 // comparability.
@@ -231,9 +223,6 @@ type Shenango struct {
 func NewShenango(threshold sim.Time) *Shenango {
 	return &Shenango{Threshold: threshold}
 }
-
-// Name implements Scheduler.
-func (s *Shenango) Name() string { return "shenango" }
 
 // Interval implements Scheduler (Shenango's IOKernel polls every 5 µs; we
 // drive it at the same 20 µs tick for comparability).
@@ -274,9 +263,6 @@ type Utilization struct {
 func NewUtilization(threshold float64) *Utilization {
 	return &Utilization{Threshold: threshold}
 }
-
-// Name implements Scheduler.
-func (u *Utilization) Name() string { return "utilization" }
 
 // Interval implements Scheduler: utilization reacts at TTI granularity; the
 // pool drives it at 100 µs.

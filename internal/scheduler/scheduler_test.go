@@ -184,21 +184,9 @@ func TestUtilizationScheduler(t *testing.T) {
 }
 
 func TestNamesAndIntervals(t *testing.T) {
-	cases := []struct {
-		s    Scheduler
-		name string
-	}{
-		{NewConcordia(), "concordia"},
-		{FlexRAN{}, "flexran"},
-		{NewShenango(us(25)), "shenango"},
-		{NewUtilization(0.5), "utilization"},
-	}
-	for _, c := range cases {
-		if c.s.Name() != c.name {
-			t.Errorf("name %q want %q", c.s.Name(), c.name)
-		}
-		if c.s.Interval() <= 0 {
-			t.Errorf("%s has non-positive interval", c.name)
+	for _, s := range []Scheduler{NewConcordia(), FlexRAN{}, NewShenango(us(25)), NewUtilization(0.5)} {
+		if s.Interval() <= 0 {
+			t.Errorf("%T has non-positive interval", s)
 		}
 	}
 	if NewConcordia().Interval() != 20*sim.Microsecond {
@@ -223,22 +211,22 @@ func TestSideEffectFree(t *testing.T) {
 	want := append([]DAGState(nil), st.DAGs...)
 	for _, s := range []Scheduler{NewConcordia(), &Concordia{DisableWakeupCompensation: true}, FlexRAN{}} {
 		if !SideEffectFree(s) {
-			t.Errorf("%s (%+v) not side-effect free", s.Name(), s)
+			t.Errorf("%T (%+v) not side-effect free", s, s)
 		}
 		if first, second := s.Cores(st), s.Cores(st); first != second {
-			t.Errorf("%s answered %d, then %d on the same state", s.Name(), first, second)
+			t.Errorf("%T answered %d, then %d on the same state", s, first, second)
 		}
 		if !slices.Equal(st.DAGs, want) {
-			t.Errorf("%s changed the state's DAGs: %+v, want %+v", s.Name(), st.DAGs, want)
+			t.Errorf("%T changed the state's DAGs: %+v, want %+v", s, st.DAGs, want)
 		}
 	}
 
 	for _, s := range []Scheduler{NewShenango(us(25)), NewUtilization(0.6)} {
 		if SideEffectFree(s) {
-			t.Errorf("%s classified side-effect free", s.Name())
+			t.Errorf("%T classified side-effect free", s)
 		}
 		if first, second := s.Cores(st), s.Cores(st); first == second {
-			t.Errorf("%s answered %d twice on the same state: its ±1 state did not step", s.Name(), first)
+			t.Errorf("%T answered %d twice on the same state: its ±1 state did not step", s, first)
 		}
 	}
 	calls := 0

@@ -342,26 +342,20 @@ func (t *Tracker) WriteHealthReport(w io.Writer) error {
 func fmtDur(d sim.Time) string { return fmtG(d.Us()) + "us" }
 
 // MergeRemapped folds a flushed per-server tracker into this fleet-level
-// one: run totals merge sketch-wise, window rows and alerts are remapped
-// (local cell -> cells[local], server stamped, times offset) and appended.
-// Callers must invoke it serially in a fixed (epoch, server) order — the
-// sketches make the fold associative, the serial order makes it
-// byte-identical at any worker count. cells maps the source tracker's
-// local cell indices to global IDs; nil keeps cell IDs as-is. Merged
-// trackers share one deadline: the summaries derive slack from this
-// tracker's deadline and the merged latency totals.
-func (t *Tracker) MergeRemapped(src *Tracker, cells []int32, server int32, offset sim.Time) {
+// one: run totals merge sketch-wise, and window rows and alerts are
+// appended with their times shifted by offset. The source already keys its
+// streams by global cell ID and stamps its server (Options.Cells and
+// Options.Server), so nothing else is remapped. Callers must invoke it
+// serially in a fixed (epoch, server) order — the sketches make the fold
+// associative, the serial order makes it byte-identical at any worker
+// count. Merged trackers share one deadline: the summaries derive slack
+// from this tracker's deadline and the merged latency totals.
+func (t *Tracker) MergeRemapped(src *Tracker, offset sim.Time) {
 	if t == nil || src == nil {
 		return
 	}
-	mapCell := func(c int32) int32 {
-		if cells != nil && c >= 0 && int(c) < len(cells) {
-			return cells[c]
-		}
-		return c
-	}
 	for _, sk := range src.keys {
-		dk := t.key(Key{Cell: mapCell(sk.key.Cell), Server: server, Slice: sk.key.Slice})
+		dk := t.key(sk.key)
 		dk.totLat.Merge(sk.totLat)
 		dk.totTask.Merge(sk.totTask)
 		dk.totAttempts += sk.totAttempts
@@ -381,14 +375,11 @@ func (t *Tracker) MergeRemapped(src *Tracker, cells []int32, server int32, offse
 		ds.windows += ss.windows
 	}
 	for _, r := range src.Rows() {
-		r.Cell = mapCell(r.Cell)
-		r.Server = server
 		r.Start += offset
 		r.End += offset
 		t.appendRow(r)
 	}
 	for _, a := range src.alerts {
-		a.Server = server
 		a.At += offset
 		t.appendAlert(a)
 	}

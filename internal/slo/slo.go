@@ -64,10 +64,12 @@ type Options struct {
 	// every slice's latency target. Required (the integration layers fill
 	// it from their own config).
 	Deadline sim.Time
-	// SliceOf maps a cell ID to its slice (0 URLLC, 1 eMBB; out-of-range
-	// results clamp). Nil maps even cells to slice 0 and odd cells to
-	// slice 1. Must be pure and deterministic.
-	SliceOf func(cell int32) int32
+	// Cells maps the cell IDs the tracker records (a fleet server's pool
+	// numbers its cells from 0) to their global IDs; nil means the IDs are
+	// already global. A stream is keyed by its cell's global ID, and the
+	// ID's parity is its slice: even cells are URLLC (slice 0), odd cells
+	// eMBB (slice 1).
+	Cells []int32
 	// Server stamps every key and event this tracker produces (fleet runs
 	// give each per-server tracker its index; single-pool runs use 0).
 	Server int32
@@ -79,9 +81,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.BurnThreshold <= 0 {
 		o.BurnThreshold = DefaultBurnThreshold
-	}
-	if o.SliceOf == nil {
-		o.SliceOf = func(cell int32) int32 { return cell % 2 }
 	}
 	return o
 }

@@ -149,21 +149,13 @@ func New(opts Options, trc *telemetry.Tracer) *Tracker {
 	return t
 }
 
-// sliceFor clamps a SliceOf result into the objective table.
-func (t *Tracker) sliceFor(cell int32) int32 {
-	s := t.opts.SliceOf(cell)
-	if s < 0 {
-		s = 0
-	}
-	if int(s) >= len(t.slices) {
-		s = int32(len(t.slices) - 1)
-	}
-	return s
-}
-
-// keyFor returns (creating on first sight) the state for a cell's stream.
+// keyFor returns (creating on first sight) the state for a cell's stream:
+// keyed by the cell's global ID, in the slice of that ID's parity.
 func (t *Tracker) keyFor(cell int32) *keyState {
-	return t.key(Key{Cell: cell, Server: t.opts.Server, Slice: t.sliceFor(cell)})
+	if t.opts.Cells != nil {
+		cell = t.opts.Cells[cell]
+	}
+	return t.key(Key{Cell: cell, Server: t.opts.Server, Slice: cell & 1})
 }
 
 // key returns k's state, creating it on first sight and inserting it into

@@ -57,9 +57,7 @@ func TestTrackerWindowRows(t *testing.T) {
 }
 
 func TestTrackerBurnAlertFireAndClear(t *testing.T) {
-	opts := testOpts()
-	opts.SliceOf = func(int32) int32 { return 0 } // URLLC: 1e-4 budget
-	tr := New(opts, nil)
+	tr := New(testOpts(), nil) // cell 0 is URLLC: 1e-4 budget
 
 	// Window 0: 10 attempts, 5 misses -> fast and slow burn 5000x budget.
 	for i := 0; i < 10; i++ {
@@ -209,9 +207,9 @@ func TestTrackerRecordRotateZeroAlloc(t *testing.T) {
 
 func TestTrackerMergeRemapped(t *testing.T) {
 	opts := testOpts()
-	mkServer := func(server int32) *Tracker {
+	mkServer := func(server int32, cells []int32) *Tracker {
 		o := opts
-		o.Server = server
+		o.Server, o.Cells = server, cells
 		tr := New(o, nil)
 		// Local cells 0,1; one miss on local cell 0.
 		tr.RecordDAG(msTime(0.3), 0, msTime(3), true)
@@ -222,8 +220,8 @@ func TestTrackerMergeRemapped(t *testing.T) {
 	}
 	merge := func() *Tracker {
 		fleet := New(opts, nil)
-		fleet.MergeRemapped(mkServer(0), []int32{10, 11}, 0, 0)
-		fleet.MergeRemapped(mkServer(1), []int32{20, 21}, 1, msTime(5))
+		fleet.MergeRemapped(mkServer(0, []int32{10, 11}), 0)
+		fleet.MergeRemapped(mkServer(1, []int32{20, 21}), msTime(5))
 		return fleet
 	}
 	fleet := merge()

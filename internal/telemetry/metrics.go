@@ -12,13 +12,6 @@ func (c *Counter) Inc() {
 	}
 }
 
-// Add adds n.
-func (c *Counter) Add(n uint64) {
-	if c != nil {
-		c.v += n
-	}
-}
-
 // Value returns the current count.
 func (c *Counter) Value() uint64 {
 	if c == nil {
@@ -35,14 +28,6 @@ func (g *Gauge) Set(v float64) {
 	if g != nil {
 		g.v = v
 	}
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return g.v
 }
 
 // Registry owns named counters and gauges and the sampled time series, its

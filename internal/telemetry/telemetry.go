@@ -189,12 +189,18 @@ type Event struct {
 // stays bounded on arbitrarily long runs while the most recent window — the
 // part that explains a late deadline miss — survives.
 //
+// Every Emit is also counted by kind, overwritten events included, so the
+// metrics time series reads its counter columns off the trace (Emitted).
+//
 // A nil *Tracer is valid: Emit is a no-op and accessors return zero values.
 type Tracer struct {
 	buf     []Event
 	next    int // next write position
 	full    bool
 	dropped uint64
+	// emitted is indexed by the raw kind byte, so a kind outside the
+	// taxonomy is counted too and never indexes out of range.
+	emitted [256]uint64
 }
 
 // DefaultTraceCapacity bounds the ring when Options does not: 2^18 events
@@ -216,6 +222,7 @@ func (t *Tracer) Emit(ev Event) {
 	if t == nil {
 		return
 	}
+	t.emitted[ev.Kind]++
 	if len(t.buf) < cap(t.buf) {
 		t.buf = append(t.buf, ev)
 		t.next = len(t.buf) % cap(t.buf)
@@ -241,6 +248,15 @@ func (t *Tracer) Dropped() uint64 {
 		return 0
 	}
 	return t.dropped
+}
+
+// Emitted returns how many events of kind k were emitted, overwritten ones
+// included.
+func (t *Tracer) Emitted(k EventKind) uint64 {
+	if t == nil {
+		return 0
+	}
+	return t.emitted[k]
 }
 
 // Events returns a copy of the retained events in emission order (oldest

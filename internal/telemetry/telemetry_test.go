@@ -56,6 +56,35 @@ func TestTracerPartialFill(t *testing.T) {
 	}
 }
 
+// TestEmittedCountsEveryEmit pins the per-kind counts the metrics counters
+// are read from: events the ring overwrote still count, a kind byte outside
+// the taxonomy is counted rather than indexing out of range, and a nil
+// tracer counts nothing.
+func TestEmittedCountsEveryEmit(t *testing.T) {
+	var nilTracer *Tracer
+	nilTracer.Emit(Event{Kind: EvTaskComplete})
+	if n := nilTracer.Emitted(EvTaskComplete); n != 0 {
+		t.Fatalf("nil tracer Emitted = %d, want 0", n)
+	}
+	tr := NewTracer(2)
+	for range 5 {
+		tr.Emit(Event{Kind: EvTaskComplete})
+	}
+	tr.Emit(Event{Kind: 255})
+	tr.Emit(Event{Kind: numEventKinds})
+	if tr.Dropped() != 5 {
+		t.Fatalf("Dropped = %d, want 5", tr.Dropped())
+	}
+	for _, c := range []struct {
+		kind EventKind
+		want uint64
+	}{{EvTaskComplete, 5}, {255, 1}, {numEventKinds, 1}, {EvDAGRelease, 0}} {
+		if got := tr.Emitted(c.kind); got != c.want {
+			t.Errorf("Emitted(%v) = %d, want %d", c.kind, got, c.want)
+		}
+	}
+}
+
 func TestRegistryIdempotentAndSorted(t *testing.T) {
 	r := NewRegistry()
 	c1 := r.Counter("b_tasks")

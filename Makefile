@@ -80,8 +80,9 @@ poolcheck:
 # (the -faults spec, a traffic trace, an events CSV), the Chrome trace
 # exporter against its encoding/json reference, the latency tail recorder
 # against its sorted-insertion reference, the on-demand leaf ring against
-# its fixed-capacity reference and the tree grower's radix column order
-# against the (value, index) pair sort. go test fuzzes one target
+# its fixed-capacity reference, the tree grower's radix column order
+# against the (value, index) pair sort and the autopsy's flat timelines
+# against the map-based reference. go test fuzzes one target
 # per invocation, hence one line each. A failing input is saved under the
 # package's testdata/fuzz/ and replayed by every later `go test`.
 FUZZTIME ?= 10s
@@ -93,6 +94,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzTailRecorder$$' -fuzztime $(FUZZTIME) ./internal/stats
 	$(GO) test -run '^$$' -fuzz '^FuzzRingBuffer$$' -fuzztime $(FUZZTIME) ./internal/predictor
 	$(GO) test -run '^$$' -fuzz '^FuzzColumnOrder$$' -fuzztime $(FUZZTIME) ./internal/predictor
+	$(GO) test -run '^$$' -fuzz '^FuzzAnalyze$$' -fuzztime $(FUZZTIME) ./internal/analysis
 
 # One regeneration pass per paper table/figure, with timing and allocation
 # stats, distilled into BENCH_pool.json (schema in EXPERIMENTS.md) so the

@@ -18,8 +18,6 @@
 package analysis
 
 import (
-	"sort"
-
 	"concordia/internal/faults"
 	"concordia/internal/sim"
 	"concordia/internal/telemetry"
@@ -123,8 +121,8 @@ type Autopsy struct {
 	Opts   Options // resolved (inferred PoolCores/Deadline filled in)
 	Events int
 
-	Timelines []*Timeline // every reconstructed DAG, ordered by sequence
-	Misses    []Miss      // every EvDeadlineMiss in event order, attributed
+	Timelines []Timeline // every reconstructed DAG, ordered by sequence
+	Misses    []Miss     // every EvDeadlineMiss in event order, attributed
 
 	// CauseCounts[c] is the number of misses attributed to cause c;
 	// the counts sum to len(Misses) by construction.
@@ -152,7 +150,8 @@ func (a *Autopsy) PartitionHolds() bool {
 
 // Analyze reconstructs timelines, attributes every deadline miss, and runs
 // the calibration monitor over one trace's events (telemetry.Tracer.Events
-// order). It is a pure function of its inputs.
+// order). It is a pure function of its inputs, and it neither modifies nor
+// keeps events, so the ring Tracer.Events returns is read where it lies.
 func Analyze(events []telemetry.Event, opts Options) *Autopsy {
 	if opts.PoolCores == 0 {
 		opts.PoolCores = inferPoolCores(events)
@@ -162,18 +161,12 @@ func Analyze(events []telemetry.Event, opts Options) *Autopsy {
 	}
 	a := &Autopsy{Opts: opts, Events: len(events)}
 
-	tls := buildTimelines(events)
-	seqs := make([]int64, 0, len(tls))
-	for seq := range tls {
-		seqs = append(seqs, seq)
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	a.Timelines = make([]*Timeline, 0, len(tls))
-	for _, seq := range seqs {
-		a.Timelines = append(a.Timelines, tls[seq])
-	}
-	for _, tl := range a.Timelines {
-		tl.extractCriticalPath()
+	ts := buildTimelines(events)
+	a.Timelines = ts.tls
+	crit := make([]int32, 0, len(ts.arena))
+	for i := range a.Timelines {
+		tl := &a.Timelines[i]
+		crit = tl.extractCriticalPath(crit)
 		a.DAGsSeen++
 		if tl.Dropped {
 			a.DAGsDropped++
@@ -183,24 +176,25 @@ func Analyze(events []telemetry.Event, opts Options) *Autopsy {
 	}
 
 	ctx := newAttributionContext(events, opts)
-	for _, ev := range events {
-		if ev.Kind != telemetry.EvDeadlineMiss {
-			continue
+	cal := newCalibrator(driftWindow)
+	for i := range events {
+		ev := &events[i]
+		switch ev.Kind {
+		case telemetry.EvDeadlineMiss:
+			// The miss made its DAG's timeline.
+			tl := ts.timeline(ev.A)
+			m := Miss{
+				Seq: ev.A, Cell: ev.Cell, Slot: ev.Slot,
+				At: ev.At, Latency: ev.Dur, Dropped: tl.Dropped,
+			}
+			m.Cause, m.Detail = ctx.attribute(tl, m)
+			a.CauseCounts[m.Cause]++
+			a.Misses = append(a.Misses, m)
+		case telemetry.EvPredictSample:
+			cal.add(ev.Task, sim.Time(ev.A), ev.Dur)
 		}
-		m := Miss{
-			Seq: ev.A, Cell: ev.Cell, Slot: ev.Slot,
-			At: ev.At, Latency: ev.Dur,
-		}
-		tl := tls[ev.A]
-		if tl != nil {
-			m.Dropped = tl.Dropped
-		}
-		m.Cause, m.Detail = ctx.attribute(tl, m)
-		a.CauseCounts[m.Cause]++
-		a.Misses = append(a.Misses, m)
 	}
-
-	a.Calibration = CalibrateSamples(extractPredictSamples(events), targetQuantile, driftWindow)
+	a.Calibration = cal.rows(targetQuantile)
 	return a
 }
 
@@ -239,23 +233,6 @@ func inferDeadline(events []telemetry.Event) sim.Time {
 		}
 	}
 	return min
-}
-
-// extractPredictSamples pulls the predicted-vs-observed pairs out of the
-// event stream in emission order.
-func extractPredictSamples(events []telemetry.Event) []PredictSample {
-	var out []PredictSample
-	for _, ev := range events {
-		if ev.Kind != telemetry.EvPredictSample {
-			continue
-		}
-		out = append(out, PredictSample{
-			Kind:      ev.Task,
-			Predicted: sim.Time(ev.A),
-			Observed:  ev.Dur,
-		})
-	}
-	return out
 }
 
 // faults re-exported locally so attribution.go reads naturally.

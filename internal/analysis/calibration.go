@@ -1,8 +1,9 @@
 package analysis
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"concordia/internal/sim"
 )
@@ -64,57 +65,90 @@ func CalibrateSamples(samples []PredictSample, target float64, window int) []Kin
 	if window <= 0 {
 		window = 512
 	}
-	byKind := map[int32][]PredictSample{}
+	c := newCalibrator(window)
 	for _, s := range samples {
-		byKind[s.Kind] = append(byKind[s.Kind], s)
+		c.add(s.Kind, s.Predicted, s.Observed)
 	}
-	kinds := make([]int32, 0, len(byKind))
-	for k := range byKind {
-		kinds = append(kinds, k)
-	}
-	sort.Slice(kinds, func(i, j int) bool { return kinds[i] < kinds[j] })
+	return c.rows(target)
+}
 
-	out := make([]KindCalibration, 0, len(kinds))
-	for _, k := range kinds {
-		ks := byKind[k]
-		c := KindCalibration{Kind: k, Samples: len(ks), Target: target}
-		covered := 0
-		var headUs, headFrac float64
-		for _, s := range ks {
-			if s.Observed <= s.Predicted {
-				covered++
-			}
-			headUs += (s.Predicted - s.Observed).Us()
-			if s.Predicted > 0 {
-				headFrac += float64(s.Predicted-s.Observed) / float64(s.Predicted)
-			}
+// calibrator is the calibration monitor's state: one accumulator per task
+// kind, fed one sample at a time in trace order. Analyze streams a trace's
+// EvPredictSample pairs into one; CalibrateSamples feeds it a slice.
+type calibrator struct {
+	window int
+	index  map[int32]int
+	kinds  []kindSamples
+}
+
+// kindSamples accumulates one kind's samples: the counts and headroom sums
+// in trace order, and the covered count of every full drift window.
+type kindSamples struct {
+	kind             int32
+	n, covered       int
+	headUs, headFrac float64
+	// inWindow and windowCovered count the window being filled; windows
+	// lists the covered count of each full one.
+	inWindow, windowCovered int
+	windows                 []int
+}
+
+func newCalibrator(window int) *calibrator {
+	return &calibrator{window: window, index: map[int32]int{}}
+}
+
+// add records one predicted-vs-observed pair of a kind.
+func (c *calibrator) add(kind int32, predicted, observed sim.Time) {
+	i, ok := c.index[kind]
+	if !ok {
+		i = len(c.kinds)
+		c.index[kind] = i
+		c.kinds = append(c.kinds, kindSamples{kind: kind})
+	}
+	k := &c.kinds[i]
+	k.n++
+	k.inWindow++
+	if observed <= predicted {
+		k.covered++
+		k.windowCovered++
+	}
+	k.headUs += (predicted - observed).Us()
+	if predicted > 0 {
+		k.headFrac += float64(predicted-observed) / float64(predicted)
+	}
+	if k.inWindow == c.window {
+		k.windows = append(k.windows, k.windowCovered)
+		k.inWindow, k.windowCovered = 0, 0
+	}
+}
+
+// rows renders the verdict per kind, sorted by kind.
+func (c *calibrator) rows(target float64) []KindCalibration {
+	slices.SortFunc(c.kinds, func(a, b kindSamples) int { return cmp.Compare(a.kind, b.kind) })
+	out := make([]KindCalibration, 0, len(c.kinds))
+	for i := range c.kinds {
+		k := &c.kinds[i]
+		n := float64(k.n)
+		cal := KindCalibration{
+			Kind: k.kind, Samples: k.n, Target: target,
+			Coverage:         float64(k.covered) / n,
+			MeanHeadroomUs:   k.headUs / n,
+			MeanHeadroomFrac: k.headFrac / n,
+			Windows:          len(k.windows),
 		}
-		n := float64(len(ks))
-		c.Coverage = float64(covered) / n
-		c.MeanHeadroomUs = headUs / n
-		c.MeanHeadroomFrac = headFrac / n
-
-		for i := 0; i+window <= len(ks); i += window {
-			wCovered := 0
-			for _, s := range ks[i : i+window] {
-				if s.Observed <= s.Predicted {
-					wCovered++
-				}
+		for _, covered := range k.windows {
+			if dev := math.Abs(float64(covered)/float64(c.window) - cal.Coverage); dev > cal.Drift {
+				cal.Drift = dev
 			}
-			dev := math.Abs(float64(wCovered)/float64(window) - c.Coverage)
-			if dev > c.Drift {
-				c.Drift = dev
-			}
-			c.Windows++
 		}
 
 		// 3-sigma binomial band around the target, floored so that a run too
 		// short to resolve the quantile cannot flag: with n samples the
 		// smallest observable miss rate is 1/n.
 		sigma := math.Sqrt(target * (1 - target) / n)
-		c.Tolerance = math.Max(3*sigma, 3/n)
-		c.Miscalibrated = c.Coverage < c.Target-c.Tolerance
-		out = append(out, c)
+		cal.Tolerance = math.Max(3*sigma, 3/n)
+		cal.Miscalibrated = cal.Coverage < cal.Target-cal.Tolerance
+		out = append(out, cal)
 	}
 	return out
 }

@@ -174,7 +174,8 @@ func (a *Autopsy) WriteReport(w io.Writer) error {
 		fmt.Fprintf(bw, "### Critical-path decomposition (missed DAGs, mean us)\n\n")
 		var fr, qu, ex, of, st, bl float64
 		n := 0
-		for _, tl := range a.Timelines {
+		for i := range a.Timelines {
+			tl := &a.Timelines[i]
 			if !tl.Missed || tl.Truncated {
 				continue
 			}
@@ -248,7 +249,7 @@ func (a *Autopsy) timelineBySeq(seq int64) *Timeline {
 		}
 	}
 	if lo < len(a.Timelines) && a.Timelines[lo].Seq == seq {
-		return a.Timelines[lo]
+		return &a.Timelines[lo]
 	}
 	return nil
 }

@@ -1,6 +1,8 @@
 package analysis
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"concordia/internal/sim"
@@ -17,12 +19,9 @@ type TaskSpan struct {
 	ReadyAt sim.Time // first became ready (enqueue, or dispatch for kept successors)
 	StartAt sim.Time // last dispatch (the attempt that completed)
 	EndAt   sim.Time // completion
-	Done    bool
 
 	// Dispatches counts dispatch events (>1 means offload retries).
 	Dispatches int
-	// Offloaded reports the task completed on the accelerator (Core=-1).
-	Offloaded bool
 
 	// Decomposition of EndAt-ReadyAt: Queue is the summed dispatch delays
 	// across attempts, Exec the final software runtime, Offload the final
@@ -37,9 +36,17 @@ type TaskSpan struct {
 	// task completed (HasSample).
 	Predicted sim.Time
 	Observed  sim.Time
+
+	Done bool
+	// Offloaded reports the task completed on the accelerator (Core=-1).
+	Offloaded bool
 	HasSample bool
 
 	hasReady bool
+	// seen marks an arena slot that a task event filled.
+	seen bool
+	// onPath marks a span already on its DAG's critical path.
+	onPath bool
 }
 
 // Timeline is the reconstructed lifetime of one DAG.
@@ -63,7 +70,9 @@ type Timeline struct {
 	Dropped   bool // EvDAGDrop seen
 	Missed    bool // EvDeadlineMiss seen
 
-	Tasks []*TaskSpan // sorted by node ID
+	// Tasks holds the DAG's spans sorted by node ID, a window of one span
+	// arena that every timeline of the autopsy shares.
+	Tasks []TaskSpan
 
 	// Critical is the chain of node IDs (root-most first) that determined
 	// the completion time, recovered by walking completion/ready stamps
@@ -84,45 +93,123 @@ type Timeline struct {
 	// Truncated marks a timeline whose admission record was lost to ring
 	// wraparound; its decomposition is unreliable.
 	Truncated bool
-
-	spans map[int32]*TaskSpan
 }
 
-func (tl *Timeline) span(node int32, kind int32) *TaskSpan {
-	s, ok := tl.spans[node]
-	if !ok {
-		s = &TaskSpan{Node: node, Kind: kind}
-		tl.spans[node] = s
+// dagRef names the DAG an event belongs to: its sequence number and, for a
+// task-level event, the DAG-local task ID. ok is false for an event of no
+// DAG.
+func dagRef(ev *telemetry.Event) (seq int64, node int32, task, ok bool) {
+	switch ev.Kind {
+	case telemetry.EvDAGRelease, telemetry.EvDAGComplete, telemetry.EvDAGDrop, telemetry.EvDeadlineMiss:
+		return ev.A, 0, false, true
+	case telemetry.EvTaskEnqueue, telemetry.EvTaskDispatch, telemetry.EvTaskComplete:
+		return ev.A, int32(ev.B), true, true
+	case telemetry.EvPredictSample:
+		// Core carries the DAG-local task ID on this kind.
+		return ev.B, ev.Core, true, true
 	}
-	return s
+	return 0, 0, false, false
 }
 
-// buildTimelines groups the event stream by DAG sequence number.
-func buildTimelines(events []telemetry.Event) map[int64]*Timeline {
-	tls := map[int64]*Timeline{}
-	get := func(seq int64, cell, slot int32) *Timeline {
-		tl, ok := tls[seq]
+// dagWindow is what the counting pass learns of one DAG: its sequence
+// number, the cell and slot of the first event naming it, and where its
+// spans sit in the span arena, size slots from off. A dense window holds
+// the span of node lo+i at slot i; a sparse one, for a DAG whose node IDs
+// spread wider than its task-event count, holds its spans in arrival order
+// (used of them), found through timelineSet.sparse, and is sorted once
+// filled. Either way a window is no larger than the DAG's task-event
+// count, so no node ID can make the arena outgrow the trace.
+type dagWindow struct {
+	seq             int64
+	cell, slot      int32
+	off, size, used int
+	lo, hi          int32
+	dense           bool
+}
+
+// spanKey addresses a span of a sparse window: the timeline's index and
+// the node ID.
+type spanKey struct {
+	tl   int32
+	node int32
+}
+
+// timelineSet is the flat form of every DAG in a trace: one timeline per
+// sequence number, in sequence order, addressed through index, and one
+// arena that holds every timeline's spans.
+type timelineSet struct {
+	tls    []Timeline
+	index  map[int64]int32
+	wins   []dagWindow
+	arena  []TaskSpan
+	sparse map[spanKey]int
+}
+
+// buildTimelines groups the event stream by DAG sequence number in two
+// passes. The first counts each DAG's task events and the range of node
+// IDs they name, which sizes every window of the span arena; the second
+// fills the timelines and spans in place.
+func buildTimelines(events []telemetry.Event) *timelineSet {
+	ts := &timelineSet{index: map[int64]int32{}}
+	for i := range events {
+		ev := &events[i]
+		seq, node, task, ok := dagRef(ev)
 		if !ok {
-			tl = &Timeline{Seq: seq, Cell: cell, Slot: slot, spans: map[int32]*TaskSpan{}}
-			tls[seq] = tl
+			continue
 		}
-		return tl
+		j, known := ts.index[seq]
+		if !known {
+			j = int32(len(ts.wins))
+			ts.index[seq] = j
+			ts.wins = append(ts.wins, dagWindow{seq: seq, cell: ev.Cell, slot: ev.Slot})
+		}
+		if !task {
+			continue
+		}
+		w := &ts.wins[j]
+		if w.size == 0 {
+			w.lo, w.hi = node, node
+		}
+		w.lo, w.hi = min(w.lo, node), max(w.hi, node)
+		w.size++ // the task-event count until the windows are laid out
 	}
-	for _, ev := range events {
+	// A trace lists its DAGs in release order, so this is usually a check.
+	if !slices.IsSortedFunc(ts.wins, bySeq) {
+		slices.SortFunc(ts.wins, bySeq)
+		for j := range ts.wins {
+			ts.index[ts.wins[j].seq] = int32(j)
+		}
+	}
+
+	ts.tls = make([]Timeline, len(ts.wins))
+	total := 0
+	for j := range ts.wins {
+		w := &ts.wins[j]
+		ts.tls[j] = Timeline{Seq: w.seq, Cell: w.cell, Slot: w.slot}
+		if width := int64(w.hi) - int64(w.lo) + 1; w.size > 0 && width <= int64(w.size) {
+			w.size, w.dense = int(width), true
+		}
+		w.off = total
+		total += w.size
+	}
+	ts.arena = make([]TaskSpan, total)
+
+	for i := range events {
+		ev := &events[i]
 		switch ev.Kind {
 		case telemetry.EvDAGRelease:
-			tl := get(ev.A, ev.Cell, ev.Slot)
+			tl := ts.timeline(ev.A)
 			tl.AdmitAt = ev.At
 			tl.HasAdmit = true
 			tl.Dir = ev.B
 		case telemetry.EvTaskEnqueue:
-			s := get(ev.A, ev.Cell, ev.Slot).span(int32(ev.B), ev.Task)
+			s := ts.span(ev.A, int32(ev.B), ev.Task)
 			if !s.hasReady {
 				s.ReadyAt = ev.At
 				s.hasReady = true
 			}
 		case telemetry.EvTaskDispatch:
-			s := get(ev.A, ev.Cell, ev.Slot).span(int32(ev.B), ev.Task)
+			s := ts.span(ev.A, int32(ev.B), ev.Task)
 			if !s.hasReady {
 				// Kept successors skip the ready queue: dispatch with zero
 				// delay is the only record, and ready time equals dispatch.
@@ -133,7 +220,7 @@ func buildTimelines(events []telemetry.Event) map[int64]*Timeline {
 			s.Dispatches++
 			s.Queue += ev.Dur
 		case telemetry.EvTaskComplete:
-			s := get(ev.A, ev.Cell, ev.Slot).span(int32(ev.B), ev.Task)
+			s := ts.span(ev.A, int32(ev.B), ev.Task)
 			s.EndAt = ev.At
 			s.Done = true
 			s.Offloaded = ev.Core < 0
@@ -150,46 +237,53 @@ func buildTimelines(events []telemetry.Event) map[int64]*Timeline {
 			}
 		case telemetry.EvPredictSample:
 			// Core carries the DAG-local task ID on this kind.
-			s := get(ev.B, ev.Cell, ev.Slot).span(ev.Core, ev.Task)
+			s := ts.span(ev.B, ev.Core, ev.Task)
 			s.Predicted = sim.Time(ev.A)
 			s.Observed = ev.Dur
 			s.HasSample = true
 		case telemetry.EvDAGComplete:
-			tl := get(ev.A, ev.Cell, ev.Slot)
+			tl := ts.timeline(ev.A)
 			tl.EndAt = ev.At
 			tl.Latency = ev.Dur
 			tl.HasEnd = true
 			tl.Completed = true
 			tl.Dir = ev.B
 		case telemetry.EvDAGDrop:
-			tl := get(ev.A, ev.Cell, ev.Slot)
+			tl := ts.timeline(ev.A)
 			tl.EndAt = ev.At
 			tl.Latency = ev.Dur
 			tl.HasEnd = true
 			tl.Dropped = true
 			tl.Dir = ev.B
 		case telemetry.EvDeadlineMiss:
-			get(ev.A, ev.Cell, ev.Slot).Missed = true
+			ts.timeline(ev.A).Missed = true
 		}
 	}
-	for _, tl := range tls {
-		nodes := make([]int32, 0, len(tl.spans))
-		for node := range tl.spans {
-			nodes = append(nodes, node)
+
+	for j := range ts.tls {
+		tl, w := &ts.tls[j], &ts.wins[j]
+		tl.Tasks = ts.arena[w.off : w.off+w.size : w.off+w.size]
+		if w.dense {
+			// Close the holes of node IDs the trace never named.
+			n := 0
+			for i := range tl.Tasks {
+				if tl.Tasks[i].seen {
+					tl.Tasks[n] = tl.Tasks[i]
+					n++
+				}
+			}
+			tl.Tasks = tl.Tasks[:n:n]
+		} else {
+			tl.Tasks = tl.Tasks[:w.used:w.used]
+			slices.SortFunc(tl.Tasks, func(a, b TaskSpan) int { return cmp.Compare(a.Node, b.Node) })
 		}
-		sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-		tl.Tasks = make([]*TaskSpan, 0, len(tl.spans))
-		for _, node := range nodes {
-			s := tl.spans[node]
+		for i := range tl.Tasks {
+			s := &tl.Tasks[i]
 			// Finish per-span decomposition: whatever the attempts did not
 			// spend queueing or executing was stall (watchdog + backoff).
 			if s.Done {
-				s.Stall = s.EndAt - s.ReadyAt - s.Queue - s.Exec - s.Offload
-				if s.Stall < 0 {
-					s.Stall = 0
-				}
+				s.Stall = max(s.EndAt-s.ReadyAt-s.Queue-s.Exec-s.Offload, 0)
 			}
-			tl.Tasks = append(tl.Tasks, s)
 		}
 		if tl.HasEnd {
 			tl.Release = tl.EndAt - tl.Latency
@@ -198,7 +292,43 @@ func buildTimelines(events []telemetry.Event) map[int64]*Timeline {
 		}
 		tl.Truncated = !tl.HasAdmit
 	}
-	return tls
+	return ts
+}
+
+func bySeq(a, b dagWindow) int { return cmp.Compare(a.seq, b.seq) }
+
+// timeline returns the timeline of DAG seq, which the counting pass made.
+func (ts *timelineSet) timeline(seq int64) *Timeline {
+	return &ts.tls[ts.index[seq]]
+}
+
+// span returns the span of task node in DAG seq, claiming its arena slot
+// with the kind of the first event that names it.
+func (ts *timelineSet) span(seq int64, node, kind int32) *TaskSpan {
+	j := ts.index[seq]
+	w := &ts.wins[j]
+	var s *TaskSpan
+	if w.dense {
+		s = &ts.arena[w.off+int(node)-int(w.lo)]
+	} else {
+		if ts.sparse == nil {
+			ts.sparse = map[spanKey]int{}
+		}
+		key := spanKey{tl: j, node: node}
+		slot, ok := ts.sparse[key]
+		if !ok {
+			slot = w.used
+			w.used++
+			ts.sparse[key] = slot
+		}
+		s = &ts.arena[w.off+slot]
+	}
+	if !s.seen {
+		s.seen = true
+		s.Node = node
+		s.Kind = kind
+	}
+	return s
 }
 
 // extractCriticalPath walks backwards from the last-finishing task: each
@@ -206,66 +336,70 @@ func buildTimelines(events []telemetry.Event) map[int64]*Timeline {
 // after the current span's ready time — exactly the dependency whose finish
 // made the task ready, since the pool enqueues a successor the instant its
 // last predecessor completes. The walk needs no DAG edge information, so it
-// works on the trace alone.
-func (tl *Timeline) extractCriticalPath() {
-	var end *TaskSpan
-	for _, s := range tl.Tasks {
+// works on the trace alone. It marks the chain's spans in place, appends
+// the chain's node IDs to crit (root-first) and returns the extended slice;
+// the timeline's Critical is that tail of it.
+func (tl *Timeline) extractCriticalPath(crit []int32) []int32 {
+	cur := -1
+	for i := range tl.Tasks {
+		s := &tl.Tasks[i]
 		if !s.Done {
 			continue
 		}
-		if end == nil || s.EndAt > end.EndAt || (s.EndAt == end.EndAt && s.Node < end.Node) {
-			end = s
+		if cur < 0 || later(s, &tl.Tasks[cur]) {
+			cur = i
 		}
 	}
-	if end == nil {
-		return
+	if cur < 0 {
+		return crit
 	}
-	onPath := map[int32]bool{}
-	var chain []*TaskSpan
-	cur := end
-	for cur != nil {
-		chain = append(chain, cur)
-		onPath[cur.Node] = true
-		var pred *TaskSpan
-		for _, s := range tl.Tasks {
-			if !s.Done || onPath[s.Node] || s.EndAt > cur.ReadyAt {
+	start := len(crit)
+	for cur >= 0 {
+		c := &tl.Tasks[cur]
+		c.onPath = true
+		crit = append(crit, c.Node)
+		tl.Queue += c.Queue
+		tl.Exec += c.Exec
+		tl.Offload += c.Offload
+		tl.Stall += c.Stall
+		pred := -1
+		for i := range tl.Tasks {
+			s := &tl.Tasks[i]
+			if !s.Done || s.onPath || s.EndAt > c.ReadyAt {
 				continue
 			}
-			if pred == nil || s.EndAt > pred.EndAt || (s.EndAt == pred.EndAt && s.Node < pred.Node) {
-				pred = s
+			if pred < 0 || later(s, &tl.Tasks[pred]) {
+				pred = i
 			}
 		}
 		// A root's ready time coincides with admission; stop once no span
 		// finishes early enough to have gated the current one.
 		cur = pred
 	}
-	// chain is end-first; record root-first.
-	tl.Critical = make([]int32, len(chain))
-	for i, s := range chain {
-		tl.Critical[len(chain)-1-i] = s.Node
-	}
-	for _, s := range chain {
-		tl.Queue += s.Queue
-		tl.Exec += s.Exec
-		tl.Offload += s.Offload
-		tl.Stall += s.Stall
-	}
+	// The walk appended end-first; record root-first.
+	slices.Reverse(crit[start:])
+	tl.Critical = crit[start:len(crit):len(crit)]
 	if tl.HasAdmit && tl.AdmitAt > tl.Release {
 		tl.Fronthaul = tl.AdmitAt - tl.Release
 	}
 	if tl.HasEnd {
-		tl.Blocked = tl.Latency - tl.Fronthaul - tl.Queue - tl.Exec - tl.Offload - tl.Stall
-		if tl.Blocked < 0 {
-			tl.Blocked = 0
-		}
+		tl.Blocked = max(tl.Latency-tl.Fronthaul-tl.Queue-tl.Exec-tl.Offload-tl.Stall, 0)
 	}
+	return crit
 }
 
-// CriticalSpan returns the span for a node on the critical path (nil when
-// the node is unknown).
+// later orders completed spans for the critical-path walk: the later
+// completion first, the smaller node ID on a tie.
+func later(s, than *TaskSpan) bool {
+	return s.EndAt > than.EndAt || (s.EndAt == than.EndAt && s.Node < than.Node)
+}
+
+// CriticalSpan returns the span of a node of the DAG, on the critical path
+// or not (nil when the node is unknown).
 func (tl *Timeline) CriticalSpan(node int32) *TaskSpan {
-	if tl.spans == nil {
-		return nil
+	i := sort.Search(len(tl.Tasks), func(i int) bool { return tl.Tasks[i].Node >= node })
+	if i < len(tl.Tasks) && tl.Tasks[i].Node == node {
+		return &tl.Tasks[i]
 	}
-	return tl.spans[node]
+	return nil
 }

@@ -59,7 +59,7 @@ func dirName(dir int64) string { return ran.SlotDir(dir).String() }
 // The export streams: it walks the ring in place and writes each record
 // into one fixed buffer, so its memory does not depend on the trace's
 // length. The bytes are what encoding/json writes for the same records
-// (see appendFloat and appendString), and the first error from w is
+// (see appendMilli and appendString), and the first error from w is
 // returned.
 func WriteChromeTrace(w io.Writer, t *Tracer, meta ChromeTraceMeta) error {
 	if meta.Process == "" {
@@ -199,7 +199,7 @@ func appendEvent(b []byte, ev *Event) []byte {
 	case EvInterference:
 		b = appendName(b, "interference")
 		return record{ph: 'C', ts: ev.At, pid: pidPool, tid: tidSched}.
-			append(b, arg{key: "index", f: float64(ev.A) / 1000, isFloat: true})
+			append(b, arg{key: "index", i: ev.A, milli: true})
 	case EvCoreAcquire:
 		b = appendName(b, "acquire")
 		return record{
@@ -323,9 +323,9 @@ func (r record) fields(b []byte) []byte {
 	}
 	b = append(b, `,"ph":"`...)
 	b = append(b, r.ph, '"')
-	b = appendFloat(append(b, `,"ts":`...), r.ts.Us())
+	b = appendMilli(append(b, `,"ts":`...), int64(r.ts))
 	if r.hasDur {
-		b = appendFloat(append(b, `,"dur":`...), r.dur.Us())
+		b = appendMilli(append(b, `,"dur":`...), int64(r.dur))
 	}
 	b = strconv.AppendInt(append(b, `,"pid":`...), int64(r.pid), 10)
 	b = strconv.AppendInt(append(b, `,"tid":`...), int64(r.tid), 10)
@@ -351,8 +351,8 @@ func (r record) append(b []byte, args ...arg) []byte {
 		}
 		b = append(b, a.key...)
 		b = append(b, `":`...)
-		if a.isFloat {
-			b = appendFloat(b, a.f)
+		if a.milli {
+			b = appendMilli(b, a.i)
 		} else {
 			b = strconv.AppendInt(b, a.i, 10)
 		}
@@ -363,26 +363,61 @@ func (r record) append(b []byte, args ...arg) []byte {
 	return append(b, '}')
 }
 
-// arg is one entry of a record's args object: an integer, or a float when
-// isFloat is set. Keys are plain ASCII and written unescaped.
+// arg is one entry of a record's args object: an integer, or, when milli
+// is set, a number of thousandths written as a decimal. Keys are plain
+// ASCII and written unescaped.
 type arg struct {
-	key     string
-	i       int64
-	f       float64
-	isFloat bool
+	key   string
+	i     int64
+	milli bool
 }
 
 func intArg[T int32 | int64](key string, v T) arg { return arg{key: key, i: int64(v)} }
 
-// usArg is a duration or time argument in microseconds.
-func usArg(key string, t sim.Time) arg { return arg{key: key, f: t.Us(), isFloat: true} }
+// usArg is a duration or time argument in microseconds: t.Us(), written
+// from t's whole nanoseconds.
+func usArg(key string, t sim.Time) arg { return arg{key: key, i: int64(t), milli: true} }
+
+// maxExactMilli bounds the values appendMilli writes with integer
+// arithmetic. Below it float64(v) is exact and, since |v|/1000 < 2^43, the
+// spacing of float64s near v/1000 is under 0.001, so the exact decimal
+// v/1000 is the shortest that parses back to float64(v)/1000: what
+// appendFloat writes.
+const maxExactMilli = 1 << 52
+
+// appendMilli appends float64(v)/1000 as appendFloat does, without
+// floating point: the integer part, then a point and the thousandths with
+// trailing zeros stripped, or nothing when they are zero. Times (sim.Time
+// in nanoseconds, written in microseconds) and the interference index
+// (milli-units) are whole thousandths, so every number of the trace goes
+// through here; from maxExactMilli on it falls back to appendFloat.
+func appendMilli(b []byte, v int64) []byte {
+	if v <= -maxExactMilli || v >= maxExactMilli {
+		return appendFloat(b, float64(v)/1000)
+	}
+	if v < 0 {
+		b = append(b, '-')
+		v = -v
+	}
+	b = strconv.AppendInt(b, v/1000, 10)
+	frac := v % 1000
+	if frac == 0 {
+		return b
+	}
+	digits := [3]byte{byte('0' + frac/100), byte('0' + frac/10%10), byte('0' + frac%10)}
+	n := 3
+	for digits[n-1] == '0' {
+		n--
+	}
+	return append(append(b, '.'), digits[:n]...)
+}
 
 // appendFloat appends v as encoding/json writes a float64: the shortest
 // decimal that parses back to v, in 'f' form, or in 'e' form below 1e-6 and
 // from 1e21 on, with a one-digit negative exponent left unpadded (e-7, not
 // e-07). This is not the CSV exporters' format (see appendCSVFloat). v is
-// always finite here: every value is a whole number of nanoseconds, or of
-// milli-units, divided by 1000.
+// always finite here: appendMilli calls it for a whole number of
+// nanoseconds, or of milli-units, divided by 1000.
 func appendFloat(b []byte, v float64) []byte {
 	format := byte('f')
 	if abs := math.Abs(v); abs != 0 && (abs < 1e-6 || abs >= 1e21) {

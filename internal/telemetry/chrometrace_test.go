@@ -1,10 +1,13 @@
 package telemetry
 
 import (
+	"bytes"
 	"errors"
 	"io"
+	"math"
 	"testing"
 
+	"concordia/internal/rng"
 	"concordia/internal/sim"
 )
 
@@ -45,6 +48,31 @@ func TestWriteChromeTraceAllocs(t *testing.T) {
 		t.Fatalf("export allocates %v times for 1 000 events and %v for 100 000; want the same count", small, large)
 	}
 	t.Logf("%v allocations per export", small)
+}
+
+// TestAppendMilliMatchesAppendFloat checks the integer formatting of the
+// trace's numbers against the float formatting it replaced, at the edges
+// of its exact range, at both ends of int64 and at random values of every
+// magnitude.
+func TestAppendMilliMatchesAppendFloat(t *testing.T) {
+	values := []int64{math.MinInt64, math.MaxInt64}
+	for _, v := range []int64{0, 1, 999, 1000, 1001, maxExactMilli - 1, maxExactMilli} {
+		values = append(values, v, -v)
+	}
+	r := rng.New(11)
+	for range 100_000 {
+		v := int64(r.Uint64() >> r.Intn(64)) // every magnitude, not only the largest
+		if r.Bool(0.5) {
+			v = -v
+		}
+		values = append(values, v)
+	}
+	for _, v := range values {
+		got, want := appendMilli(nil, v), appendFloat(nil, float64(v)/1000)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("appendMilli(%d) = %s, appendFloat(%d/1000) = %s", v, got, v, want)
+		}
+	}
 }
 
 // failAfter accepts n bytes, then fails every write.

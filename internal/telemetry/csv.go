@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -26,33 +26,51 @@ func appendCSVFloat(b []byte, v float64) []byte {
 // time_us column followed by every sampled metric in sorted name order, one
 // row per Sample call. Metrics registered after a sample was taken appear as
 // empty cells in the earlier rows, so the column set is the sorted union
-// across all rows and the bytes are run-order independent.
+// across all rows and the bytes are run-order independent. Where a counter
+// and a gauge share a name they share a column, and the gauge's value is
+// written once it is registered.
 func (r *Registry) WriteMetricsCSV(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	cols := map[string]bool{}
-	r.sampleOrder(func(row *sampleRow) {
-		for name := range row.vals {
-			cols[name] = true
-		}
-	})
-	names := make([]string, 0, len(cols))
-	for name := range cols {
-		names = append(names, name)
+	sampled := 0 // the widest retained row's metric count
+	r.sampleOrder(func(row *sampleRow) { sampled = max(sampled, len(row.vals)) })
+	// csvCol is one output column: the indexes of its counter and gauge in
+	// the registration order, -1 when the name has none of that type.
+	type csvCol struct {
+		name   string
+		ci, gi int
 	}
-	sort.Strings(names)
+	var cols []csvCol
+	byName := map[string]int{}
+	for i, c := range r.cols[:sampled] {
+		j, ok := byName[c.name]
+		if !ok {
+			j = len(cols)
+			byName[c.name] = j
+			cols = append(cols, csvCol{name: c.name, ci: -1, gi: -1})
+		}
+		if c.g != nil {
+			cols[j].gi = i
+		} else {
+			cols[j].ci = i
+		}
+	}
+	slices.SortFunc(cols, func(a, b csvCol) int { return strings.Compare(a.name, b.name) })
 
 	bw.WriteString("time_us")
-	for _, name := range names {
+	for _, col := range cols {
 		bw.WriteByte(',')
-		bw.WriteString(name)
+		bw.WriteString(col.name)
 	}
 	bw.WriteByte('\n')
 	r.sampleOrder(func(row *sampleRow) {
 		bw.Write(appendCSVFloat(bw.AvailableBuffer(), row.at.Us()))
-		for _, name := range names {
+		for _, col := range cols {
 			bw.WriteByte(',')
-			if v, ok := row.vals[name]; ok {
-				bw.Write(appendCSVFloat(bw.AvailableBuffer(), v))
+			switch {
+			case col.gi >= 0 && col.gi < len(row.vals):
+				bw.Write(appendCSVFloat(bw.AvailableBuffer(), row.vals[col.gi]))
+			case col.ci >= 0 && col.ci < len(row.vals):
+				bw.Write(appendCSVFloat(bw.AvailableBuffer(), row.vals[col.ci]))
 			}
 		}
 		bw.WriteByte('\n')

@@ -44,6 +44,9 @@ func (g *Gauge) Set(v float64) {
 type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
+	// cols lists every registered metric in registration order; a row
+	// holds one value per metric registered when it was sampled.
+	cols []column
 
 	sampleCap   int
 	rows        []sampleRow
@@ -52,9 +55,25 @@ type Registry struct {
 	rowsEvicted uint64
 }
 
+// column is one registered metric: a counter, or a gauge when g is set.
+type column struct {
+	name string
+	c    *Counter
+	g    *Gauge
+}
+
+func (c column) value() float64 {
+	if c.g != nil {
+		return c.g.v
+	}
+	return float64(c.c.v)
+}
+
+// sampleRow is one time-series row: vals[i] is the value of cols[i], for
+// the metrics registered by the time it was sampled.
 type sampleRow struct {
 	at   sim.Time
-	vals map[string]float64
+	vals []float64
 }
 
 // DefaultSampleCapacity bounds the sampled time series when no explicit
@@ -89,6 +108,7 @@ func (r *Registry) Counter(name string) *Counter {
 	if !ok {
 		c = &Counter{}
 		r.counters[name] = c
+		r.cols = append(r.cols, column{name: name, c: c})
 	}
 	return c
 }
@@ -102,27 +122,25 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if !ok {
 		g = &Gauge{}
 		r.gauges[name] = g
+		r.cols = append(r.cols, column{name: name, g: g})
 	}
 	return g
 }
 
 // Sample appends one time-series row holding the current value of every
 // registered counter and gauge, stamped with virtual time at. Once the
-// ring is full the oldest row is overwritten (its map is reused, so
+// ring is full the oldest row is overwritten (its values are reused, so
 // steady-state sampling of a stable metric set does not grow the heap).
 func (r *Registry) Sample(at sim.Time) {
 	if r == nil {
 		return
 	}
-	var vals map[string]float64
+	var row *sampleRow
 	if len(r.rows) < r.sampleCap {
-		vals = make(map[string]float64, len(r.counters)+len(r.gauges))
-		r.rows = append(r.rows, sampleRow{at: at, vals: vals})
+		r.rows = append(r.rows, sampleRow{})
+		row = &r.rows[len(r.rows)-1]
 	} else {
-		row := &r.rows[r.rowNext]
-		row.at = at
-		clear(row.vals)
-		vals = row.vals
+		row = &r.rows[r.rowNext]
 		r.rowNext++
 		if r.rowNext == len(r.rows) {
 			r.rowNext = 0
@@ -130,11 +148,13 @@ func (r *Registry) Sample(at sim.Time) {
 		r.rowFull = true
 		r.rowsEvicted++
 	}
-	for name, c := range r.counters {
-		vals[name] = float64(c.v)
+	row.at = at
+	if cap(row.vals) < len(r.cols) {
+		row.vals = make([]float64, len(r.cols))
 	}
-	for name, g := range r.gauges {
-		vals[name] = g.v
+	row.vals = row.vals[:len(r.cols)]
+	for i, c := range r.cols {
+		row.vals[i] = c.value()
 	}
 }
 

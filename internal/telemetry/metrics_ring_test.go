@@ -58,7 +58,7 @@ func TestSampleRingReusesRowMaps(t *testing.T) {
 		at += sim.Millisecond
 	})
 	if allocs != 0 {
-		t.Fatalf("steady-state Sample allocated %.1f/op, want 0 (row maps should be reused)", allocs)
+		t.Fatalf("steady-state Sample allocated %.1f/op, want 0 (row values should be reused)", allocs)
 	}
 }
 

@@ -21,6 +21,7 @@ package telemetry
 
 import (
 	"fmt"
+	"slices"
 
 	"concordia/internal/sim"
 )
@@ -259,18 +260,28 @@ func (t *Tracer) Emitted(k EventKind) uint64 {
 	return t.emitted[k]
 }
 
-// Events returns a copy of the retained events in emission order (oldest
-// first). The simulation emits in virtual-time order with one exception:
-// offload spans are recorded at submission with a future device start time,
-// so their At may exceed a neighbour's by the queueing delay.
+// Events returns the retained events in emission order (oldest first). The
+// simulation emits in virtual-time order with one exception: offload spans
+// are recorded at submission with a future device start time, so their At
+// may exceed a neighbour's by the queueing delay.
+//
+// The slice is the ring itself, not a copy: it is valid until the next Emit
+// and must not be modified. A ring that has wrapped is first rotated in
+// place so its oldest event sits at index 0; the rotation changes neither
+// the emission order nor what the next Emit overwrites. The capacity is
+// capped at the length, so an append to the result never writes into the
+// ring.
 func (t *Tracer) Events() []Event {
-	older, newer := t.ring()
-	if len(older)+len(newer) == 0 {
+	if t == nil || len(t.buf) == 0 {
 		return nil
 	}
-	out := make([]Event, 0, len(older)+len(newer))
-	out = append(out, older...)
-	return append(out, newer...)
+	if t.full && t.next != 0 {
+		slices.Reverse(t.buf[:t.next])
+		slices.Reverse(t.buf[t.next:])
+		slices.Reverse(t.buf)
+		t.next = 0
+	}
+	return t.buf[:len(t.buf):len(t.buf)]
 }
 
 // ring returns the retained events in place, in emission order: every event

@@ -56,6 +56,60 @@ func TestTracerPartialFill(t *testing.T) {
 	}
 }
 
+// TestEventsNoCopy checks that Events hands out the ring itself: reading it
+// allocates nothing on a wrapped ring or on a partly filled one, the
+// rotation that puts a wrapped ring's oldest event first leaves both
+// exports byte for byte as they were, and the next Emit still overwrites
+// the oldest event.
+func TestEventsNoCopy(t *testing.T) {
+	exports := func(tr *Tracer) []byte {
+		var b bytes.Buffer
+		if err := WriteChromeTrace(&b, tr, ChromeTraceMeta{Cores: 2}); err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.WriteEventsCSV(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	emit := func(tr *Tracer, from, to int) {
+		for i := from; i < to; i++ {
+			tr.Emit(Event{At: sim.Time(i) * sim.Microsecond, Kind: EventKind(i % NumEventKinds), A: int64(i)})
+		}
+	}
+
+	partial := NewTracer(16)
+	emit(partial, 0, 5)
+	if n := testing.AllocsPerRun(100, func() { partial.Events() }); n != 0 {
+		t.Errorf("Events on a partly filled ring allocated %v times, want 0", n)
+	}
+	if evs := partial.Events(); len(evs) != 5 || cap(evs) != 5 {
+		t.Errorf("partly filled ring: len %d cap %d, want 5 and 5", len(evs), cap(evs))
+	}
+
+	wrapped := NewTracer(16)
+	emit(wrapped, 0, 41) // the oldest retained event, 25, sits at index 9
+	before := exports(wrapped)
+	if n := testing.AllocsPerRun(100, func() { wrapped.Events() }); n != 0 {
+		t.Errorf("Events on a wrapped ring allocated %v times, want 0", n)
+	}
+	evs := wrapped.Events()
+	for i, ev := range evs {
+		if ev.A != int64(25+i) {
+			t.Fatalf("event %d is %d, want %d (oldest first)", i, ev.A, 25+i)
+		}
+	}
+	if after := exports(wrapped); !bytes.Equal(before, after) {
+		t.Error("rotating the ring changed the Chrome trace or events CSV bytes")
+	}
+	emit(wrapped, 41, 42)
+	evs = wrapped.Events()
+	if evs[0].A != 26 || evs[len(evs)-1].A != 41 || wrapped.Len() != 16 || wrapped.Dropped() != 26 {
+		t.Errorf("after one more Emit: oldest %d newest %d len %d dropped %d, want 26 41 16 26",
+			evs[0].A, evs[len(evs)-1].A, wrapped.Len(), wrapped.Dropped())
+	}
+}
+
 // TestEmittedCountsEveryEmit pins the per-kind counts the metrics counters
 // are read from: events the ring overwrote still count, a kind byte outside
 // the taxonomy is counted rather than indexing out of range, and a nil
@@ -113,6 +167,27 @@ func TestMetricsCSVStableColumns(t *testing.T) {
 	}
 	if lines[2] != "2,1,1" {
 		t.Fatalf("row 2 %q", lines[2])
+	}
+}
+
+// TestMetricsCSVSharedName pins the column a counter and a gauge of the
+// same name share: the counter's value until the gauge is registered, the
+// gauge's from then on. A metric registered after the last sample has no
+// column.
+func TestMetricsCSVSharedName(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("x").Inc()
+	r.Sample(sim.FromUs(1))
+	r.Gauge("x").Set(7)
+	r.Counter("x").Inc()
+	r.Sample(sim.FromUs(2))
+	r.Gauge("late").Set(3)
+	var buf bytes.Buffer
+	if err := r.WriteMetricsCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if want := "time_us,x\n1,1\n2,7\n"; buf.String() != want {
+		t.Fatalf("metrics CSV %q, want %q", buf.String(), want)
 	}
 }
 
